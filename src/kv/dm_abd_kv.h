@@ -4,60 +4,35 @@
 // roundtrips (Table 2): gets chase a pointer, updates first discover a
 // fresh timestamp (hidden behind the out-of-place data write) and then
 // install it with a CAS.
+//
+// The session is the shared replicated-KV session (replicated_kv.h) over
+// AbdObject; the specialization below holds DM-ABD's three protocol facts.
 
 #ifndef SWARM_SRC_KV_DM_ABD_KV_H_
 #define SWARM_SRC_KV_DM_ABD_KV_H_
 
-#include <memory>
-#include <vector>
-
-#include "src/index/client_cache.h"
-#include "src/index/index_service.h"
-#include "src/kv/kv_types.h"
-#include "src/swarm/placement.h"
+#include "src/kv/replicated_kv.h"
 #include "src/swarm/abd.h"
-#include "src/swarm/worker.h"
 
 namespace swarm::kv {
 
-class DmAbdKvSession : public KvSession {
- public:
-  DmAbdKvSession(Worker* worker, index::IndexService* index, index::ClientCache* cache)
-      : worker_(worker), index_(index), cache_(cache) {}
-
-  sim::Task<KvResult> Get(uint64_t key) override;
-  sim::Task<KvResult> Update(uint64_t key, std::span<const uint8_t> value) override;
-  sim::Task<KvResult> Insert(uint64_t key, std::span<const uint8_t> value) override;
-  sim::Task<KvResult> Remove(uint64_t key) override;
-
-  // Placement filter for fresh inserts (MembershipService::serving()).
-  // Unset = place on all nodes.
-  void set_serving(std::shared_ptr<const std::vector<bool>> serving) {
-    serving_ = std::move(serving);
+template <>
+struct KvProtocol<AbdObject> {
+  // 1. One shared metadata word, one writer slot, no in-place region: pure
+  //    out-of-place ABD; placement salted with "ABD".
+  static constexpr uint64_t kPlacementSalt = 0x414244;
+  static LayoutGeometry FreshGeometry(const ProtocolConfig&) {
+    return {/*meta_slots=*/1, /*max_writers=*/1, /*inplace_copies=*/0};
   }
-
- private:
-  struct Located {
-    bool found = false;
-    bool cache_hit = false;
-    std::shared_ptr<const ObjectLayout> layout;
-    std::shared_ptr<ObjectCache> obj_cache;
-    uint64_t generation = 0;
-  };
-
-  sim::Task<Located> Locate(uint64_t key, KvResult* result);
-  sim::Task<Located> HandleDeleted(uint64_t key, uint64_t stale_generation, KvResult* result);
-  // Chases the index after a migration-fence bounce (see SwarmKvSession's
-  // HandleMoved): never unmaps — the key is alive, just in transit.
-  sim::Task<Located> HandleMoved(uint64_t key, uint64_t stale_generation, KvResult* result);
-  std::shared_ptr<const ObjectLayout> AllocateForKey(uint64_t key);
-
-  Worker* worker_;
-  index::IndexService* index_;
-  index::ClientCache* cache_;
-  std::shared_ptr<const std::vector<bool>> serving_;
-  PlacementProbe place_;  // Minimal-remap placement over the serving set.
+  // 2. ABD discovers its timestamp inside the write itself: no seeding read.
+  static constexpr bool kSeedSlotCachesOnUpdateMiss = false;
+  // 3. An ABD write observes the tombstone in phase 1, before installing
+  //    anything: a tombstone-bounced update is a definite kNotFound.
+  static constexpr bool kTombstoneBounceMayApply = false;
 };
+
+extern template class ReplicatedKvSession<AbdObject>;
+using DmAbdKvSession = ReplicatedKvSession<AbdObject>;
 
 }  // namespace swarm::kv
 

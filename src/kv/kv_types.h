@@ -42,6 +42,16 @@ struct [[nodiscard]] KvResult {
 
 // One client worker's session with a store: supports one outstanding
 // operation at a time (run several sessions for concurrent operations).
+//
+// Statuses each op may return:
+//   Get     kOk (with value), kNotFound, kUnavailable.
+//   Update  kOk, kNotFound (key absent; see KvResult::ambiguous),
+//           kUnavailable.
+//   Insert  kOk (fresh mapping), kExists (updated a live mapping),
+//           kUnavailable. Never kNotFound: a tombstoned mapping is
+//           overwritten.
+//   Remove  kOk, kNotFound, kUnavailable.
+// kUnavailable means the op may or may not have taken effect.
 class KvSession {
  public:
   virtual ~KvSession() = default;

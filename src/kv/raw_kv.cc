@@ -3,19 +3,9 @@
 #include <cstring>
 
 #include "src/hash/xxhash.h"
-#include "src/util/discard.h"
+#include "src/kv/replicated_kv.h"
 
 namespace swarm::kv {
-namespace {
-
-sim::Task<void> UnmapLater(index::IndexService* index, uint64_t key, uint64_t generation) {
-  // Best-effort tombstone unmap: the generation guard makes a lost or
-  // duplicated attempt harmless (a newer mapping wins), so the outcome
-  // carries no actionable signal for this detached cleanup task.
-  DiscardStatus(co_await index->RemoveIfGeneration(key, generation, nullptr));
-}
-
-}  // namespace
 
 sim::Task<RawKvSession::Located> RawKvSession::Locate(uint64_t key, KvResult* result) {
   Located loc;

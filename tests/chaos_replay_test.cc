@@ -141,6 +141,30 @@ TEST(ChaosReplay, SameSeedReproducesIdenticalExecution) {
   }
 }
 
+// Cross-commit identity: the digests above, recorded from an earlier commit.
+// A simplification of SWARM-KV (or anything under it) must reproduce them
+// byte-for-byte. Re-record only in a change whose CHANGES.md entry states an
+// intended SWARM-KV behaviour change (tests/README.md).
+TEST(ChaosReplay, FullMixDigestsMatchRecordedGoldens) {
+  struct Golden {
+    uint64_t seed;
+    RunDigest digest;
+  };
+  const Golden kGoldens[] = {
+      {42, {0xdb7ac7382f7cb352ull, 0xc9da5b28a654e7a7ull, 1019, 2127034, 21}},
+      {43, {0x3e514778f5115c16ull, 0x40b3a1a0580832e4ull, 2560, 2130595, 38}},
+      {44, {0x5366c706970e1aafull, 0x4a8ab764d42a4d1cull, 1911, 2029917, 41}},
+  };
+  for (const Golden& g : kGoldens) {
+    const RunDigest d = RunFullMixScenario(g.seed);
+    EXPECT_EQ(d.trace_hash, g.digest.trace_hash) << "seed " << g.seed;
+    EXPECT_EQ(d.history_hash, g.digest.history_hash) << "seed " << g.seed;
+    EXPECT_EQ(d.events, g.digest.events) << "seed " << g.seed;
+    EXPECT_EQ(d.end_time, g.digest.end_time) << "seed " << g.seed;
+    EXPECT_EQ(d.faults, g.digest.faults) << "seed " << g.seed;
+  }
+}
+
 TEST(ChaosReplay, DifferentSeedsProduceDifferentSchedules) {
   const RunDigest a = RunFullMixScenario(1001);
   const RunDigest b = RunFullMixScenario(1002);

@@ -6,6 +6,8 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "src/kv/dm_abd_kv.h"
 #include "src/kv/fusee_kv.h"
@@ -26,18 +28,21 @@ using testing::ValN;
 struct KvFixture {
   explicit KvFixture(uint64_t seed = 1) : env(seed), indexsvc(&env.sim), fusee(&env.fabric) {}
 
-  std::unique_ptr<KvSession> Make(const std::string& kind) {
+  // `own_cache` (optional) replaces the fixture's shared client cache.
+  std::unique_ptr<KvSession> Make(const std::string& kind,
+                                  index::ClientCache* own_cache = nullptr) {
     Worker& w = env.MakeWorker();
+    index::ClientCache* c = own_cache != nullptr ? own_cache : &cache;
     if (kind == "swarm") {
-      return std::make_unique<SwarmKvSession>(&w, &indexsvc, &cache);
+      return std::make_unique<SwarmKvSession>(&w, &indexsvc, c);
     }
     if (kind == "raw") {
-      return std::make_unique<RawKvSession>(&w, &indexsvc, &cache);
+      return std::make_unique<RawKvSession>(&w, &indexsvc, c);
     }
     if (kind == "dmabd") {
-      return std::make_unique<DmAbdKvSession>(&w, &indexsvc, &cache);
+      return std::make_unique<DmAbdKvSession>(&w, &indexsvc, c);
     }
-    return std::make_unique<FuseeKvSession>(&w, &fusee, &cache);
+    return std::make_unique<FuseeKvSession>(&w, &fusee, c);
   }
 
   TestEnv env;
@@ -88,6 +93,83 @@ TEST_P(KvCrud, FullLifecycle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Stores, KvCrud, ::testing::Values("swarm", "raw", "dmabd", "fusee"));
+
+// §5.3.2's crashed deleter: the key's object carries a replicated tombstone,
+// but the index still maps it (the unmap never ran). Tombstones the mapped
+// object directly through the store's register, leaving the mapping in place.
+template <typename Register>
+Task<void> TombstoneWithoutUnmap(Worker* w, index::IndexService* index, uint64_t key) {
+  std::optional<index::IndexEntry> idx = co_await index->Lookup(key, w->cpu());
+  EXPECT_TRUE(idx.has_value());
+  if (!idx.has_value()) {
+    co_return;
+  }
+  Register obj(w, idx->layout.get(), w->SlotCacheFor(idx->layout.get()));
+  SgWriteResult del = co_await obj.Delete();
+  EXPECT_EQ(del.status, SgStatus::kOk);
+}
+
+class KvCrashedDeleter : public ::testing::TestWithParam<const char*> {
+ protected:
+  // Inserts key 7 through one session, then tombstones it without unmapping.
+  // Returns a session with a fresh (empty) cache for the op under test.
+  std::unique_ptr<KvSession> Prepare(KvFixture* fx, index::ClientCache* fresh_cache) {
+    auto writer = fx->Make(GetParam());
+    Worker* deleter = &fx->env.MakeWorker();
+    const bool swarm = std::string(GetParam()) == "swarm";
+    auto seed = [](KvSession* kv, Worker* w, index::IndexService* index,
+                   bool swarm2) -> Task<void> {
+      EXPECT_TRUE((co_await kv->Insert(7, ValN(16, 0xA1))).ok());
+      if (swarm2) {
+        co_await TombstoneWithoutUnmap<SafeGuessObject>(w, index, 7);
+      } else {
+        co_await TombstoneWithoutUnmap<AbdObject>(w, index, 7);
+      }
+    };
+    Spawn(seed(writer.get(), deleter, &fx->indexsvc, swarm));
+    fx->env.sim.Run();
+    return fx->Make(GetParam(), fresh_cache);
+  }
+};
+
+TEST_P(KvCrashedDeleter, InsertOverTombstonedMappingSucceeds) {
+  KvFixture fx;
+  index::ClientCache fresh;
+  auto kv = Prepare(&fx, &fresh);
+  bool done = false;
+  auto driver = [](KvSession* kv2, bool* done2) -> Task<void> {
+    // Insert's contract is kOk/kExists/kUnavailable: the tombstoned mapping
+    // is unmapped and the insert retried with fresh replicas.
+    KvResult ins = co_await kv2->Insert(7, ValN(16, 0xB2));
+    EXPECT_EQ(ins.status, KvStatus::kOk);
+    KvResult g = co_await kv2->Get(7);
+    EXPECT_EQ(g.status, KvStatus::kOk);
+    EXPECT_EQ(g.value, ValN(16, 0xB2));
+    *done2 = true;
+  };
+  Spawn(driver(kv.get(), &done));
+  fx.env.sim.Run();
+  EXPECT_TRUE(done);
+}
+
+// Protocol fact 3: a Safe-Guess update installs its guessed word before it
+// can observe the tombstone, so its kNotFound is possibly applied; an ABD
+// update observes the tombstone before installing anything.
+TEST_P(KvCrashedDeleter, UpdateBounceIsAmbiguousOnlyForSafeGuess) {
+  KvFixture fx;
+  index::ClientCache fresh;
+  auto kv = Prepare(&fx, &fresh);
+  KvResult up;
+  auto driver = [](KvSession* kv2, KvResult* out) -> Task<void> {
+    *out = co_await kv2->Update(7, ValN(16, 0xB2));
+  };
+  Spawn(driver(kv.get(), &up));
+  fx.env.sim.Run();
+  EXPECT_EQ(up.status, KvStatus::kNotFound);
+  EXPECT_EQ(up.ambiguous, std::string(GetParam()) == "swarm");
+}
+
+INSTANTIATE_TEST_SUITE_P(Stores, KvCrashedDeleter, ::testing::Values("swarm", "dmabd"));
 
 // Regression: a remove through a stale cached location used to
 // fire-and-forget the generation-guarded unmap, tombstone a dead region,
