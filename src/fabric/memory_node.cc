@@ -1,5 +1,6 @@
 #include "src/fabric/memory_node.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -47,8 +48,16 @@ uint64_t MemoryNode::Allocate(uint64_t size, uint64_t align) {
   const uint64_t addr = extent_.Allocate(size, align);
   assert(addr != alloc::ExtentAllocator::kNone && "memory node out of capacity");
   // Reused ranges carry old contents; the cluster invariant is that fresh
-  // buffers come back zeroed (§5.3.1), so clear on allocation.
-  std::memset(mem_.get() + addr, 0, size);
+  // buffers come back zeroed (§5.3.1), so clear on allocation. Bytes at or
+  // past handed_out_end_ were never handed out, so nothing wrote them and
+  // they are still zero: skipping them keeps a large pool's untouched pages
+  // out of memory.
+  const uint64_t end = addr + size;
+  const uint64_t clear_end = std::min(end, std::max(addr, handed_out_end_));
+  std::memset(mem_.get() + addr, 0, clear_end - addr);
+  assert(std::all_of(mem_.get() + clear_end, mem_.get() + end, [](uint8_t b) { return b == 0; }) &&
+         "memory node skipped clearing a non-zero range");
+  handed_out_end_ = std::max(handed_out_end_, end);
   return addr;
 }
 
@@ -57,7 +66,12 @@ void MemoryNode::Free(uint64_t addr, uint64_t size) { extent_.Free(addr, size); 
 uint64_t MemoryNode::AllocSlot(uint64_t slot_bytes) {
   const uint64_t addr = slab_.AllocSlot(slot_bytes);
   assert(addr != alloc::SlabAllocator::kNone && "memory node out of capacity");
+  // Cleared in full even where never written: the protocol reads a fresh
+  // slot's words before it has written them all, and reading an untouched
+  // page maps the shared zero page, so its first write would fault a second
+  // time. Writing here faults each page in once.
   std::memset(mem_.get() + addr, 0, slot_bytes);
+  handed_out_end_ = std::max(handed_out_end_, addr + slot_bytes);
   return addr;
 }
 

@@ -165,6 +165,11 @@ class MemoryNode {
   // to model) and memory starts zeroed ("cleared buffers", §5.3.1). Allocate
   // re-zeroes on reuse to preserve the invariant.
   std::unique_ptr<uint8_t[], FreeDeleter> mem_;
+  // 1 + the highest byte ever handed out. Unlike the allocator's
+  // high_water() it survives Recover's reset, so an address handed out
+  // before a crash-stop stays below it even if a straggler still writes
+  // there. Every byte at or past it still reads zero from calloc.
+  uint64_t handed_out_end_ = 0;
   uint64_t capacity_;
   alloc::ExtentAllocator extent_;  // Owns [64, capacity); 0 is null.
   alloc::SlabAllocator slab_;

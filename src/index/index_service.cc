@@ -136,7 +136,12 @@ size_t IndexService::GcRetired() {
   const uint64_t horizon = safe_before_fn_();
   size_t dropped_total = 0;
   for (Shard& sh : shards_) {
-    if (sh.retired.empty()) {
+    // Retire epochs never decrease along the list, so the horizon-passed
+    // entries are exactly its leading prefix; nothing past it is touched.
+    const auto eligible_end =
+        std::partition_point(sh.retired.begin(), sh.retired.end(),
+                             [horizon](const RetiredLayout& r) { return r.epoch < horizon; });
+    if (eligible_end == sh.retired.begin()) {
       continue;
     }
     // Pass 1: tell caches to drop references to every horizon-passed layout
@@ -145,31 +150,35 @@ size_t IndexService::GcRetired() {
     // retired layout can never re-enter a cache (it is unmapped; re-inserts
     // build fresh layouts), so each layout is notified exactly once even
     // when an in-flight holder pins it across many GC calls.
-    for (auto& r : sh.retired) {
-      if (r.epoch < horizon && !r.caches_notified) {
-        r.caches_notified = true;
+    for (auto it = sh.retired.begin(); it != eligible_end; ++it) {
+      if (!it->caches_notified) {
+        it->caches_notified = true;
         for (auto& fn : gc_listeners_) {
-          fn(r.layout);
+          fn(it->layout);
         }
       }
     }
-    size_t kept = 0;
-    for (auto& r : sh.retired) {
+    auto kept = sh.retired.begin();
+    for (auto it = sh.retired.begin(); it != eligible_end; ++it) {
       // The drop gate: beyond the references the retired entry itself and the
       // placement map's owned slots hold, nothing may reference the layout —
       // no cache entry, no in-flight Located copy. Exact in the
-      // single-threaded simulation.
+      // single-threaded simulation. A pinned entry stays in place and does
+      // not hold back the eligible entries behind it.
       const long pinned_by_us =
-          1 + static_cast<long>(placement_.OwnedCount(r.layout.get()));
-      if (r.epoch >= horizon || r.layout.use_count() > pinned_by_us) {
-        sh.retired[kept++] = std::move(r);
+          1 + static_cast<long>(placement_.OwnedCount(it->layout.get()));
+      if (it->layout.use_count() > pinned_by_us) {
+        if (kept != it) {
+          *kept = std::move(*it);
+        }
+        ++kept;
         continue;
       }
       // Drop: release the layout's slots back to their nodes. For a MOVED
       // slot this is the moment its migration fence is finally lifted — the
       // layout is unreferenceable, so no straggler can ever address the slot
       // again — and the address recycles through the slab quarantine.
-      placement_.Release(r.layout.get(), [this](int node, uint64_t addr, uint64_t len) {
+      placement_.Release(it->layout.get(), [this](int node, uint64_t addr, uint64_t len) {
         if (fabric_ == nullptr) {
           return;
         }
@@ -177,10 +186,12 @@ size_t IndexService::GcRetired() {
         n.RestoreRegion(addr, len);
         n.FreeSlot(addr);
       });
-      graveyard_.push_back(std::move(r.layout));
+      graveyard_.push_back(std::move(it->layout));
     }
-    dropped_total += sh.retired.size() - kept;
-    sh.retired.resize(kept);
+    if (kept != eligible_end) {
+      dropped_total += static_cast<size_t>(eligible_end - kept);
+      sh.retired.erase(kept, eligible_end);
+    }
   }
   retired_dropped_ += dropped_total;
   return dropped_total;

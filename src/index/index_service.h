@@ -29,6 +29,7 @@
 #ifndef SWARM_SRC_INDEX_INDEX_SERVICE_H_
 #define SWARM_SRC_INDEX_INDEX_SERVICE_H_
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -169,6 +170,14 @@ class IndexService {
   // list); returns how many were dropped. Called opportunistically on Retire
   // and by the repair walk.
   //
+  // Cost is O(eligible) per shard, not O(retired): retire epochs never
+  // decrease along a shard's list, so the entries the horizon has passed
+  // are exactly a leading prefix (found by binary search). Only that prefix
+  // is notified, gated and compacted; the suffix is never scanned, and it
+  // shifts down only when something was actually dropped. A frozen horizon
+  // (no recycler round since the faults stopped) therefore costs nothing per
+  // retirement however long the list grows.
+  //
   // Dropping a layout releases its placement-map slots: the node-side fences
   // over vacated (moved) slots are lifted and the slots go back to the slab
   // allocator — through its straggler quarantine, which is what makes the
@@ -236,9 +245,15 @@ class IndexService {
   sim::Task<void> Occupy(int shard);
 
   void RetireToShard(int shard, std::shared_ptr<const ObjectLayout> layout, bool moved) {
-    shards_[static_cast<size_t>(shard)].retired.push_back(
-        {std::move(layout), retire_epoch_fn_ ? retire_epoch_fn_() : 0, false, moved});
-    GcRetired();  // Opportunistic: churn keeps the lists bounded by itself.
+    std::vector<RetiredLayout>& list = shards_[static_cast<size_t>(shard)].retired;
+    const uint64_t epoch = retire_epoch_fn_ ? retire_epoch_fn_() : 0;
+    // GcRetired's prefix scan depends on epoch-ordered lists.
+    assert(list.empty() || list.back().epoch <= epoch);
+    list.push_back({std::move(layout), epoch, false, moved});
+    // Opportunistic: while the horizon advances, churn keeps the lists
+    // bounded. Once it freezes (no recycler rounds), nothing here drops the
+    // newer entries and the list grows until the next round.
+    GcRetired();
   }
 
   sim::Simulator* sim_;

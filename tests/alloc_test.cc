@@ -7,16 +7,22 @@
 // first-fit), asserting after every step that the two agree on which bytes
 // are free — so fragmentation, coalescing, split and reuse bugs surface as
 // a divergence at the exact step that introduced them. Runs under the same
-// ASan job as the rest of the suite.
+// ASan job as the rest of the suite. A second soak drives a whole MemoryNode
+// and checks that every range it hands out reads zero.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <vector>
 
 #include "src/alloc/extent_allocator.h"
+#include "src/fabric/fabric.h"
+#include "src/fabric/memory_node.h"
 #include "src/sim/random.h"
+#include "src/sim/simulator.h"
 
 namespace swarm::alloc {
 namespace {
@@ -327,6 +333,152 @@ TEST(AllocSoak, BestFitRefillsCombHolesWithoutGrowth) {
     EXPECT_LT(a, high);  // Refill a hole, never extend.
   }
   EXPECT_EQ(ea.high_water(), high);
+}
+
+// --- MemoryNode: every handout reads zero (§5.3.1's cleared buffers). ---
+//
+// Allocate clears a range only below the highest byte the node ever handed
+// out; above it the arena is still zero from calloc. The soak mixes every
+// call that hands out or dirties memory, including stray writes to ranges
+// that are no longer allocated (a straggler verb landing after its range was
+// freed or the node was reset), with both Recover modes, and checks each
+// handout byte by byte.
+
+bool AllZero(const fabric::MemoryNode& node, uint64_t addr, uint64_t len) {
+  std::vector<uint8_t> bytes(len);
+  node.ReadInto(addr, bytes);
+  return std::all_of(bytes.begin(), bytes.end(), [](uint8_t b) { return b == 0; });
+}
+
+// `advance(ns)` moves the node's virtual clock so quarantined frees ripen.
+void SoakZeroOnHandout(fabric::MemoryNode& node, const std::function<void(int64_t)>& advance,
+                       uint64_t seed, bool preserve_reservations) {
+  struct Range {
+    uint64_t addr;
+    uint64_t len;
+  };
+  constexpr uint64_t kSlotSizes[] = {24, 96, 200};
+  sim::Rng rng(seed);
+  std::vector<Range> extents;
+  std::vector<Range> slots;
+  auto scribble = [&](uint64_t addr, uint64_t len) {
+    std::vector<uint8_t> junk(len);
+    for (uint8_t& b : junk) {
+      b = static_cast<uint8_t>(1 + rng.Below(255));
+    }
+    node.WriteFrom(addr, junk);
+  };
+  auto pick = [&rng](std::vector<Range>& v) {
+    const size_t i = static_cast<size_t>(rng.Below(v.size()));
+    const Range r = v[i];
+    v[i] = v.back();
+    v.pop_back();
+    return r;
+  };
+  uint64_t handed_end = 0;  // 1 + the highest byte ever handed out.
+  int handouts = 0;
+  int recovers = 0;
+  for (int step = 0; step < 8000; ++step) {
+    const uint64_t op = rng.Below(100);
+    if (op < 18 && extents.size() < 48) {
+      const uint64_t size = 8 + rng.Below(8192);
+      const uint64_t addr = node.Allocate(size, uint64_t{8} << rng.Below(4));
+      ASSERT_TRUE(AllZero(node, addr, size)) << "Allocate step " << step << " addr " << addr;
+      scribble(addr, size);
+      extents.push_back({addr, size});
+      handed_end = std::max(handed_end, addr + size);
+      ++handouts;
+    } else if (op < 36 && slots.size() < 256) {
+      const uint64_t size = kSlotSizes[rng.Below(3)];
+      const uint64_t addr = node.AllocSlot(size);
+      ASSERT_TRUE(AllZero(node, addr, size)) << "AllocSlot step " << step << " addr " << addr;
+      scribble(addr, size);
+      slots.push_back({addr, size});
+      handed_end = std::max(handed_end, addr + size);
+      ++handouts;
+    } else if (op < 46 && !extents.empty()) {
+      const Range r = pick(extents);
+      node.Free(r.addr, r.len);
+    } else if (op < 56 && !slots.empty()) {
+      ASSERT_TRUE(node.FreeSlot(pick(slots).addr));
+    } else if (op < 68 && !slots.empty()) {
+      // Protocol traffic on a live slot: word writes and CASes.
+      const Range r = slots[static_cast<size_t>(rng.Below(slots.size()))];
+      const uint64_t word = r.addr + 8 * rng.Below(r.len / 8);
+      if (rng.Chance(0.5)) {
+        node.StoreWord(word, rng.U64() | 1);
+      } else {
+        (void)node.CasWord(word, node.LoadWord(word), rng.U64() | 1);
+      }
+    } else if (op < 76 && handed_end > 64 + 128) {
+      // A stray write anywhere once handed out, allocated now or not.
+      const uint64_t len = 8 + rng.Below(120);
+      scribble(64 + rng.Below(handed_end - 64 - len), len);
+    } else if (op < 96) {
+      advance(static_cast<int64_t>(rng.Below(2 * ExtentAllocator::kQuarantineNs)));
+    } else {
+      node.Recover(preserve_reservations);
+      ++recovers;
+      if (preserve_reservations) {
+        for (const Range& r : extents) {
+          ASSERT_TRUE(AllZero(node, r.addr, r.len)) << "Recover left a live extent dirty";
+        }
+        for (const Range& r : slots) {
+          ASSERT_TRUE(AllZero(node, r.addr, r.len)) << "Recover left a live slot dirty";
+        }
+      } else {
+        extents.clear();  // Reset: every old address is forgotten.
+        slots.clear();
+      }
+    }
+  }
+  EXPECT_GT(handouts, 1000);
+  EXPECT_GT(recovers, 10);
+}
+
+TEST(MemoryNodeSoak, EveryHandoutReadsZeroAcrossRecovers) {
+  for (bool preserve : {true, false}) {
+    SCOPED_TRACE(preserve ? "Recover(preserve_reservations)" : "Recover(reset)");
+    fabric::MemoryNode node(4 << 20);
+    int64_t now = 0;
+    node.set_now_fn([&now] { return now; });
+    SoakZeroOnHandout(node, [&now](int64_t ns) { now += ns; }, 20261017, preserve);
+  }
+}
+
+TEST(MemoryNodeSoak, AFreedSlabExtentIsClearedWhenAllocateReusesIt) {
+  // Slot bytes count as handed out too: once every slot of a slab extent is
+  // freed, the extent returns to the extent allocator, and an Allocate that
+  // reuses it must clear what the slots held.
+  fabric::MemoryNode node(1 << 20);  // No clock: frees take effect at once.
+  constexpr uint64_t kSlot = 96;
+  std::vector<uint64_t> slots;
+  for (int i = 0; i < SlabAllocator::kSlotsPerExtent; ++i) {
+    slots.push_back(node.AllocSlot(kSlot));
+    node.WriteFrom(slots.back(), std::vector<uint8_t>(kSlot, 0xab));
+  }
+  for (uint64_t addr : slots) {
+    ASSERT_TRUE(node.FreeSlot(addr));
+  }
+  const uint64_t bytes = kSlot * SlabAllocator::kSlotsPerExtent;
+  const uint64_t addr = node.Allocate(bytes, 64);
+  ASSERT_EQ(addr, *std::min_element(slots.begin(), slots.end())) << "the extent was not reused";
+  EXPECT_TRUE(AllZero(node, addr, bytes));
+}
+
+TEST(MemoryNodeSoak, EveryHandoutReadsZeroOnAHotAddedNode) {
+  sim::Simulator sim(3);
+  fabric::FabricConfig cfg;
+  cfg.num_nodes = 2;
+  cfg.max_nodes = 3;
+  cfg.node_capacity_bytes = 4 << 20;
+  fabric::Fabric fabric(&sim, cfg);
+  sim.RunUntil(1'000'000);
+  const int id = fabric.AddNode();
+  ASSERT_EQ(id, 2);
+  SoakZeroOnHandout(
+      fabric.node(id), [&sim](int64_t ns) { sim.RunUntil(sim.Now() + ns); }, 77,
+      /*preserve_reservations=*/true);
 }
 
 }  // namespace
