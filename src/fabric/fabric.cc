@@ -169,7 +169,6 @@ int Fabric::AddNode() {
   nodes_.push_back(std::make_unique<MemoryNode>(config_.node_capacity_bytes));
   nodes_.back()->set_now_fn([sim = sim_] { return sim->Now(); });
   nodes_.back()->set_fence_epoch(fence_epoch_);
-  nodes_.back()->set_fence_enforced(fence_enforced_);
   return id;
 }
 

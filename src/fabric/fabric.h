@@ -327,12 +327,6 @@ class Fabric {
       n->set_fence_epoch(epoch);
     }
   }
-  void SetFenceEnforced(bool on) {
-    fence_enforced_ = on;
-    for (auto& n : nodes_) {
-      n->set_fence_enforced(on);
-    }
-  }
 
   // Pseudo-link id for the index service's RPC channel: the chaos hooks
   // (link_delay_fn / drop_fn) are keyed by link, and the index server rides
@@ -387,8 +381,7 @@ class Fabric {
   sim::Simulator* sim_;
   FabricConfig config_;
   int max_nodes_;
-  uint64_t fence_epoch_ = 0;      // Applied to hot-added nodes on AddNode.
-  bool fence_enforced_ = true;    // Likewise (epoch-fencing canary knob).
+  uint64_t fence_epoch_ = 0;  // Applied to hot-added nodes on AddNode.
   std::vector<std::unique_ptr<MemoryNode>> nodes_;
   std::vector<sim::Time> nic_free_;
   FabricStats stats_;

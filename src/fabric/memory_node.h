@@ -21,6 +21,7 @@
 #include "src/alloc/extent_allocator.h"
 #include "src/fabric/verbs.h"
 #include "src/sim/time.h"
+#include "src/util/canary.h"
 
 namespace swarm::fabric {
 
@@ -98,11 +99,10 @@ class MemoryNode {
   // coordinator's channel is exempt: it drives the transitions itself.
   void set_fence_epoch(uint64_t epoch) { fence_epoch_ = epoch; }
   uint64_t fence_epoch() const { return fence_epoch_; }
-  // Canary knob (MembershipService::set_epoch_fencing(false)): the node
-  // keeps LEARNING the epoch but stops enforcing it — stale verbs land, and
+  // Under Canary::kNoEpochFence (src/util/canary.h) the node keeps LEARNING
+  // the epoch but stops enforcing it — stale verbs land, and
   // stale_landings() counts how many the fence would have rejected (the
   // pre-fix exposure, also a handy diagnostic).
-  void set_fence_enforced(bool on) { fence_enforced_ = on; }
   uint64_t stale_landings() const { return stale_landings_; }
 
   // Whether a verb on a (non-)repair channel is rejected at execution.
@@ -127,7 +127,7 @@ class MemoryNode {
     if (Rejects(repair_channel)) {
       return Status::kNodeFailed;
     }
-    if (!repair_channel && verb_epoch < fence_epoch_ && fence_enforced_) {
+    if (!repair_channel && verb_epoch < fence_epoch_ && !CanaryOn(Canary::kNoEpochFence)) {
       return Status::kStaleEpoch;
     }
     if (!repair_channel && !retired_.empty() && retired_.Overlaps(addr, len)) {
@@ -179,7 +179,6 @@ class MemoryNode {
   // cheap even with thousands of long-lived migration fences.
   alloc::FreeMap retired_;
   uint64_t fence_epoch_ = 0;  // 0 = never fenced; every stamp passes.
-  bool fence_enforced_ = true;
   mutable uint64_t stale_landings_ = 0;
   sim::Time extra_delay_ = 0;
 };

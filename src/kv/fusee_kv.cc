@@ -154,9 +154,7 @@ void FuseeStore::ReplaceHome(uint64_t key, int old_primary, int old_backup, int 
   RegisterKey(key, new_primary, new_backup);
 }
 
-sim::Task<repair::RepairOutcome> FuseeStore::RepairNode(int node, Worker* worker,
-                                                        const repair::RepairConfig& config) {
-  (void)config;  // FUSEE keeps no tombstones: a removed key IS the zero slot.
+sim::Task<repair::RepairOutcome> FuseeStore::RepairNode(int node, Worker* worker) {
   repair::RepairOutcome out;
   out.complete = true;
   // Index-guided log scan over the node's inverse registry: O(keys-on-node),
@@ -301,8 +299,7 @@ sim::Task<repair::RepairOutcome> FuseeStore::RepairNode(int node, Worker* worker
   co_return out;
 }
 
-sim::Task<bool> FuseeStore::MigrateKey(uint64_t key, int from, Worker* worker,
-                                       bool disable_flip_fence) {
+sim::Task<bool> FuseeStore::MigrateKey(uint64_t key, int from, Worker* worker) {
   auto it = directory_.find(key);
   if (it == directory_.end()) {
     co_return true;  // Never placed: nothing to move.
@@ -350,10 +347,8 @@ sim::Task<bool> FuseeStore::MigrateKey(uint64_t key, int from, Worker* worker,
   // Fence BOTH old slots: from here no client CAS can commit, so the single
   // harvest below is final — contrast RepairNode, which copies from a live
   // slot and must re-validate after every install.
-  if (!disable_flip_fence) {
-    fabric_->node(old_primary).RetireRegion(old_slot_primary, 8);
-    fabric_->node(old_backup).RetireRegion(old_slot_backup, 8);
-  }
+  fabric_->node(old_primary).RetireRegion(old_slot_primary, 8);
+  fabric_->node(old_backup).RetireRegion(old_slot_backup, 8);
 
   // Harvest the fenced primary word and its block through the repair channel
   // (which passes the fence). Bounded retries cover chaos drop bursts only.
@@ -438,10 +433,8 @@ sim::Task<bool> FuseeStore::MigrateKey(uint64_t key, int from, Worker* worker,
       fabric_->node(np).FreeSlot(np_slot);
       fabric_->node(nb).FreeSlot(nb_slot);
     }
-    if (!disable_flip_fence) {
-      fabric_->node(old_primary).RestoreRegion(old_slot_primary, 8);
-      fabric_->node(old_backup).RestoreRegion(old_slot_backup, 8);
-    }
+    fabric_->node(old_primary).RestoreRegion(old_slot_primary, 8);
+    fabric_->node(old_backup).RestoreRegion(old_slot_backup, 8);
     ++keys_aborted_;
     co_return false;
   }
@@ -472,7 +465,7 @@ sim::Task<bool> FuseeStore::MigrateKey(uint64_t key, int from, Worker* worker,
   co_return true;
 }
 
-sim::Task<uint64_t> FuseeStore::MigrateNode(int node, Worker* worker, bool disable_flip_fence) {
+sim::Task<uint64_t> FuseeStore::MigrateNode(int node, Worker* worker) {
   // Drain from the inverse registry — O(keys-on-node). Snapshot: MigrateKey
   // mutates the set as it flips keys away.
   std::vector<uint64_t> keys;
@@ -482,7 +475,7 @@ sim::Task<uint64_t> FuseeStore::MigrateNode(int node, Worker* worker, bool disab
   }
   uint64_t remaining = 0;
   for (uint64_t key : keys) {
-    if (!co_await MigrateKey(key, node, worker, disable_flip_fence)) {
+    if (!co_await MigrateKey(key, node, worker)) {
       ++remaining;
     }
   }

@@ -86,17 +86,14 @@ class FuseeStore : public repair::RepairableStore {
   // fresh block copies + words at the new home, then flip the directory
   // entry in place. Block regions are never fenced: a block is unreachable
   // without an index word, and generation checks make recycling safe.
-  // `disable_flip_fence` is the ownership-flip canary (the linearizability
-  // checker must catch the stale-slot commits it permits). Returns false
-  // when the key was skipped (source busy: recovery or repair in flight) or
-  // the copy failed — then the fences were restored and the directory is
-  // untouched.
-  sim::Task<bool> MigrateKey(uint64_t key, int from, Worker* worker,
-                             bool disable_flip_fence = false);
+  // Returns false when the key was skipped (source busy: recovery or repair
+  // in flight) or the copy failed — then the fences were restored and the
+  // directory is untouched.
+  sim::Task<bool> MigrateKey(uint64_t key, int from, Worker* worker);
 
   // Drains every key hosted by `node` (one MigrateKey per key, key-sorted).
   // Returns the number of keys still on the node afterwards (0 = clean).
-  sim::Task<uint64_t> MigrateNode(int node, Worker* worker, bool disable_flip_fence = false);
+  sim::Task<uint64_t> MigrateNode(int node, Worker* worker);
 
   uint64_t keys_moved() const { return keys_moved_; }
   uint64_t keys_aborted() const { return keys_aborted_; }
@@ -115,8 +112,7 @@ class FuseeStore : public repair::RepairableStore {
   }
 
   // --- Crash-recover repair (src/repair/repair.h) ---
-  sim::Task<repair::RepairOutcome> RepairNode(int node, Worker* worker,
-                                              const repair::RepairConfig& config) override;
+  sim::Task<repair::RepairOutcome> RepairNode(int node, Worker* worker) override;
   void OnRepairBegin(int node) override {
     (void)node;
     ++repairing_;  // Synchronous replication: all progress stops. Counted,

@@ -40,8 +40,9 @@
 // the crash is rejected everywhere from the crash instant on, so no
 // completion that straddles a repair can ever count toward a quorum.
 //
-// The epoch_fencing knob exists ONLY for the chaos canary gallery: disabling
-// it reproduces the pre-fix behavior so the suites can demonstrate they
+// Canary::kNoEpochFence (src/util/canary.h) switches enforcement off at the
+// nodes — the epoch still advances and is still pushed — reproducing the
+// pre-fix behavior so the chaos canary gallery can demonstrate the suites
 // catch the violation.
 //
 // --- Elastic membership: the node lifecycle state model ------------------
@@ -287,17 +288,6 @@ class MembershipService {
   // caller (Worker::RefreshEpoch) pays the network roundtrip.
   uint64_t ValidateEpoch() const { return epoch_; }
 
-  // CANARY knob: with fencing off the epoch still advances, is still pushed
-  // and still reaches the nodes, but they stop ENFORCING it — verbs stamped
-  // before a crash-repair cycle land and are trusted (each counted in
-  // MemoryNode::stale_landings), the pre-fix behavior the chaos canary must
-  // catch. Production configurations leave this on.
-  void set_epoch_fencing(bool on) {
-    epoch_fencing_ = on;
-    // Via the fabric so nodes hot-added later inherit the setting.
-    fabric_->SetFenceEnforced(on);
-  }
-
   // --- Client leases (for the memory recycler, §4.5/§5.4) ---
 
   void RegisterClient(uint32_t client_id) {
@@ -414,7 +404,6 @@ class MembershipService {
   std::shared_ptr<std::vector<bool>> serving_;
   std::vector<NodeState> states_;
   uint64_t epoch_ = 1;
-  bool epoch_fencing_ = true;
 };
 
 }  // namespace swarm::membership

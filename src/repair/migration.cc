@@ -7,6 +7,7 @@
 #include "src/repair/quorum_copy.h"
 #include "src/swarm/abd.h"
 #include "src/swarm/layout.h"
+#include "src/util/canary.h"
 
 namespace swarm::repair {
 
@@ -119,7 +120,10 @@ sim::Task<MigrateStatus> MigrationService::MigrateKey(uint64_t key, int from, in
   }
 
   // --- fence + epoch bump -------------------------------------------------
-  const bool fenced = !config_.disable_flip_fence;
+  // Canary::kNoFlipFence (src/util/canary.h) flips WITHOUT fencing the
+  // vacated slot: stale-cached clients keep committing at the old replica and
+  // the two layouts' quorums stop intersecting.
+  const bool fenced = !CanaryOn(Canary::kNoFlipFence);
   if (fenced) {
     SetSlotFence(worker_->fabric()->node(from), src.get(), vacated, /*fenced=*/true);
   }
@@ -135,8 +139,7 @@ sim::Task<MigrateStatus> MigrationService::MigrateKey(uint64_t key, int from, in
       AbdObject obj(worker_, src.get(), worker_->SlotCacheFor(src.get()));
       copied = co_await obj.CopyReplicaTo(dst.get(), slot);
     } else {
-      copied = co_await CopySafeGuessReplica(worker_, src, dst.get(), slot,
-                                             /*skip_tombstones=*/false);
+      copied = co_await CopySafeGuessReplica(worker_, src, dst.get(), slot);
     }
   }
 

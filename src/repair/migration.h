@@ -69,12 +69,6 @@ struct MigrationConfig {
   // Copy attempts per key before the migration aborts (fences restored).
   int max_rounds = 10;
   sim::Time round_retry_delay = 30 * sim::kMicrosecond;
-
-  // CANARY: flip ownership WITHOUT fencing the vacated slot — stale-cached
-  // clients keep committing at the old replica after the flip, and the two
-  // layouts' quorums no longer intersect. The linearizability checker must
-  // catch this (tests/chaos_replay_test.cc).
-  bool disable_flip_fence = false;
 };
 
 // Per-key outcome of one migration attempt.

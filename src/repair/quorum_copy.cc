@@ -7,6 +7,7 @@
 #include "src/swarm/inout.h"
 #include "src/swarm/quorum_max.h"
 #include "src/swarm/timestamp.h"
+#include "src/util/canary.h"
 
 namespace swarm::repair {
 
@@ -65,10 +66,11 @@ sim::Task<bool> CopyLocks(Worker* worker, const ObjectLayout* src, const ObjectL
 }
 
 sim::Task<bool> CopySafeGuessReplica(Worker* worker, std::shared_ptr<const ObjectLayout> src,
-                                     const ObjectLayout* dst, int target, bool skip_tombstones) {
+                                     const ObjectLayout* dst, int target) {
   const ObjectLayout* layout = src.get();
   QuorumMax reg(worker, layout, worker->SlotCacheFor(layout));
-  if (skip_tombstones) {
+  const bool drop_tombstones = CanaryOn(Canary::kSkipTombstoneRepair);
+  if (drop_tombstones) {
     // CANARY: deleted objects are not copied AT ALL — the probe must be a
     // weak read, because the strong read below write-backs the max (i.e.
     // stabilizes the tombstone at the survivors) as a side effect, which
@@ -86,7 +88,7 @@ sim::Task<bool> CopySafeGuessReplica(Worker* worker, std::shared_ptr<const Objec
     InOutReplica rep(worker, dst, target);
     const Meta word = Meta::Pack(m.m.counter(), m.m.tid(), m.m.verified(), 0);
     if (m.m.deleted()) {
-      if (!skip_tombstones) {
+      if (!drop_tombstones) {
         NodeMaxResult res = co_await rep.WriteVerifiedNode(word, {}, Meta());
         if (!res.ok()) {
           co_return false;

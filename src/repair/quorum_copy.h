@@ -52,10 +52,10 @@ sim::Task<bool> CopyLocks(Worker* worker, const ObjectLayout* src, const ObjectL
 // (ABD-style strong read: the max is write-back-stabilized at the survivors
 // before it is trusted) and installs it — exact metadata word, value bytes,
 // and merged lock state — into `dst`'s replica `target`. Pass dst == src for
-// crash repair; a distinct layout for migration. `skip_tombstones` is the
-// repair canary knob (RepairConfig::skip_tombstone_repair).
+// crash repair; a distinct layout for migration. Canary::kSkipTombstoneRepair
+// (src/util/canary.h) plants the drop-the-tombstones repair bug.
 sim::Task<bool> CopySafeGuessReplica(Worker* worker, std::shared_ptr<const ObjectLayout> src,
-                                     const ObjectLayout* dst, int target, bool skip_tombstones);
+                                     const ObjectLayout* dst, int target);
 
 }  // namespace swarm::repair
 

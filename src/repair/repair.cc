@@ -4,11 +4,11 @@
 
 #include "src/repair/quorum_copy.h"
 #include "src/swarm/abd.h"
+#include "src/util/canary.h"
 
 namespace swarm::repair {
 
-sim::Task<RepairOutcome> IndexRepairSource::RepairNode(int node, Worker* worker,
-                                                       const RepairConfig& config) {
+sim::Task<RepairOutcome> IndexRepairSource::RepairNode(int node, Worker* worker) {
   RepairOutcome out;
   out.complete = true;
   // Prune first: layouts past the recycler's safe horizon can no longer be
@@ -42,12 +42,11 @@ sim::Task<RepairOutcome> IndexRepairSource::RepairNode(int node, Worker* worker,
     bool ok;
     if (protocol_ == LayoutProtocol::kAbd) {
       AbdObject obj(worker, layout, worker->SlotCacheFor(layout));
-      ok = co_await obj.RepairReplica(r, config.skip_tombstone_repair);
+      ok = co_await obj.CopyReplicaTo(layout, r);
     } else {
       // Same-layout copy: harvest from the survivors, install into the
       // rejoining replica (src/repair/quorum_copy.h).
-      ok = co_await CopySafeGuessReplica(worker, layout_sp, layout_sp.get(), r,
-                                         config.skip_tombstone_repair);
+      ok = co_await CopySafeGuessReplica(worker, layout_sp, layout_sp.get(), r);
     }
     if (ok) {
       ++out.slots_repaired;
@@ -72,7 +71,7 @@ sim::Task<bool> RepairService::RepairRounds(int node, uint64_t* residual_failed)
     complete = true;
     *residual_failed = 0;
     for (RepairableStore* s : stores_) {
-      RepairOutcome out = co_await s->RepairNode(node, worker_, config_);
+      RepairOutcome out = co_await s->RepairNode(node, worker_);
       slots_repaired_ += out.slots_repaired;
       slots_walked_ += out.slots_walked;
       *residual_failed += out.slots_failed;
@@ -149,7 +148,8 @@ sim::Task<bool> RepairService::RecoverAndRepair(int node) {
   for (RepairableStore* s : stores_) {
     s->OnRepairBegin(node);
   }
-  if (config_.readmit_before_repair) {
+  const bool readmit_early = CanaryOn(Canary::kReadmitBeforeRepair);
+  if (readmit_early) {
     // CANARY: the node rejoins quorums with empty replicas while the repair
     // below is still running — the bug the chaos suites must catch.
     for (RepairableStore* s : stores_) {
@@ -159,7 +159,7 @@ sim::Task<bool> RepairService::RecoverAndRepair(int node) {
   }
   uint64_t residual = 0;
   const bool complete = co_await RepairRounds(node, &residual);
-  if (config_.readmit_before_repair) {
+  if (readmit_early) {
     --in_flight_;
     ++repairs_completed_;
     co_return true;  // Already (wrongly) readmitted above.

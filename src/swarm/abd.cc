@@ -5,6 +5,7 @@
 
 #include "src/hash/xxhash.h"
 #include "src/sim/sync.h"
+#include "src/util/canary.h"
 
 namespace swarm {
 namespace {
@@ -418,16 +419,7 @@ sim::Task<SgWriteResult> AbdObject::Delete() {
   co_return result;
 }
 
-sim::Task<bool> AbdObject::RepairReplica(int target, bool skip_tombstones) {
-  co_return co_await CopyReplicaInternal(layout_, target, skip_tombstones);
-}
-
 sim::Task<bool> AbdObject::CopyReplicaTo(const ObjectLayout* dst, int target) {
-  co_return co_await CopyReplicaInternal(dst, target, /*skip_tombstones=*/false);
-}
-
-sim::Task<bool> AbdObject::CopyReplicaInternal(const ObjectLayout* dst, int target,
-                                               bool skip_tombstones) {
   // Phase 1: the surviving SOURCE quorum's metadata words. For crash repair
   // the caller's worker has the target's node repair-excluded, so `order`
   // never includes it; for migration the vacated source slot is
@@ -469,7 +461,7 @@ sim::Task<bool> AbdObject::CopyReplicaInternal(const ObjectLayout* dst, int targ
   }
   auto cs = sim::MakePooled<CasState>(worker_->sim());
   if (m.deleted()) {
-    if (skip_tombstones) {
+    if (CanaryOn(Canary::kSkipTombstoneRepair)) {
       co_return true;  // Canary bug: the tombstone never reaches the node.
     }
     // Tombstone stabilization: restore the EXACT tombstone word so deleted

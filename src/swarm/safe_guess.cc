@@ -5,17 +5,25 @@
 #include <cstdlib>
 
 #include "src/swarm/timestamp_lock.h"
+#include "src/util/canary.h"
 
 namespace swarm {
 namespace {
 
 // A layout's TSL region holds exactly max_writers lock words; a writer whose
-// tid indexes past it CASes the NEIGHBORING slab slot's words (see
-// ProtocolConfig::enforce_writer_bounds). Every mutating entry point checks
-// before touching the fabric so the misconfiguration dies at the first write
-// instead of corrupting an unrelated object.
+// tid indexes past it CASes its timestamp lock PAST the end of the object's
+// slab slot into whatever object owns the neighboring slot: its bounce/slow-
+// path arbitration then reads foreign words as garbage lock counters, loses
+// every arbitration it should win, and reports kOk for writes that never took
+// effect — a linearizability violation surfaced by 10-client 10^5-op
+// contention storms against the default W=8. That is a deployment
+// misconfiguration (ProtocolConfig::max_writers must cover every writer tid),
+// not a runtime condition, so every mutating entry point checks before
+// touching the fabric and aborts at the first write instead of corrupting an
+// unrelated object. Canary::kNoWriterBound (src/util/canary.h) stands the
+// check down to reproduce the historical corruption.
 void CheckWriterBound(Worker* worker, const ObjectLayout* layout) {
-  if (!worker->config().enforce_writer_bounds ||
+  if (CanaryOn(Canary::kNoWriterBound) ||
       worker->tid() < static_cast<uint32_t>(layout->max_writers)) {
     return;
   }

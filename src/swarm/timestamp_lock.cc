@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "src/sim/sync.h"
+#include "src/util/canary.h"
 
 namespace swarm {
 namespace {
@@ -26,12 +27,12 @@ sim::Task<void> LockOneReplica(Worker* worker, const ObjectLayout* layout, int r
                                uint32_t owner_tid, uint32_t counter, LockMode mode,
                                std::shared_ptr<LockPhase> phase) {
   const ReplicaLayout& rep = layout->replicas[static_cast<size_t>(replica)];
-  // Under enforce_writer_bounds the protocol entry points (CheckWriterBound
-  // in safe_guess.cc) already rejected out-of-range tids; this assert keeps
-  // the slab-neighbor CAS (PR-9 seed 47000) from sneaking back in through a
-  // new caller. With enforcement off, chaos replays exercise the raw
-  // misconfiguration deliberately — so the guard must follow the config.
-  assert(!worker->config().enforce_writer_bounds ||
+  // The protocol entry points (CheckWriterBound in safe_guess.cc) already
+  // rejected out-of-range tids; this assert keeps the slab-neighbor CAS
+  // (PR-9 seed 47000) from sneaking back in through a new caller. Under
+  // Canary::kNoWriterBound chaos replays exercise the raw misconfiguration
+  // deliberately — so the guard must follow the canary.
+  assert(CanaryOn(Canary::kNoWriterBound) ||
          owner_tid < static_cast<uint32_t>(layout->max_writers));
   const uint64_t addr = rep.tsl_addr + static_cast<uint64_t>(owner_tid) * 8;
   fabric::Qp& qp = worker->qp(rep.node);

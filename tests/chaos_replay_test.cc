@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,6 +30,7 @@
 #include "src/swarm/quorum_max.h"
 #include "src/swarm/recycler.h"
 #include "tests/support/scenario.h"
+#include "src/util/canary.h"
 #include "src/util/discard.h"
 
 namespace swarm {
@@ -272,18 +275,17 @@ CanaryOutcome RunCanaryScenario(uint64_t seed) {
 // ---------- The repair canaries ----------
 //
 // Two injected repair bugs the crash-recover suites must catch:
-//   * skip_tombstone_repair — a rejoining node's deleted objects come back
-//     without their tombstones, so a read pairing the rejoined replica with
-//     a stale survivor resurrects the deleted value;
-//   * readmit_before_repair — the node re-enters quorums while its replicas
-//     are still empty, so reads miss committed writes.
+//   * Canary::kSkipTombstoneRepair — a rejoining node's deleted objects come
+//     back without their tombstones, so a read pairing the rejoined replica
+//     with a stale survivor resurrects the deleted value;
+//   * Canary::kReadmitBeforeRepair — the node re-enters quorums while its
+//     replicas are still empty, so reads miss committed writes.
 // Each must produce a linearizability violation within a bounded number of
 // scenarios AND replay byte-identically from its seed.
 
 // A full crash-recover scenario — restart, repair, readmit — over the
-// standard multi-client KV workload, with injectable repair bugs.
-CanaryOutcome RunRepairCanaryScenario(uint64_t seed, repair::RepairConfig rcfg,
-                                      bool remove_heavy) {
+// standard multi-client KV workload; the repair canaries plant their bugs.
+CanaryOutcome RunRepairCanaryScenario(uint64_t seed, bool remove_heavy) {
   ScenarioSpec spec;
   spec.seed = seed;
   spec.clients = 4;
@@ -312,7 +314,7 @@ CanaryOutcome RunRepairCanaryScenario(uint64_t seed, repair::RepairConfig rcfg,
     caches.push_back(std::make_unique<index::ClientCache>());
     sessions.push_back(std::make_unique<kv::SwarmKvSession>(&w, &index, caches.back().get()));
   }
-  repair::RepairService repair(&c.membership, &c.env.MakeWorker(0), rcfg);
+  repair::RepairService repair(&c.membership, &c.env.MakeWorker(0));
   repair::IndexRepairSource source(&index, repair::LayoutProtocol::kSafeGuess);
   repair.RegisterStore(&source);
   c.engine.set_repair_fn([&repair](int node) { return repair.RecoverAndRepair(node); });
@@ -354,6 +356,11 @@ void ExpectCanaryCaught(uint64_t seed_base, RunScenario run, const char* what) {
   ASSERT_NE(failing_seed, 0u) << "the " << what << " canary survived " << kMaxScenarios
                               << " crash-recover scenarios: the chaos suites can no longer "
                                  "catch broken repair";
+  // The seed and digests let a reviewer compare the catch across commits.
+  std::printf("canary %s: caught at seed %llu, trace hash %016llx, violation hash %016zx\n",
+              what, static_cast<unsigned long long>(failing_seed),
+              static_cast<unsigned long long>(first.trace_hash),
+              std::hash<std::string>{}(first.violation));
   CanaryOutcome replay = run(failing_seed);
   EXPECT_TRUE(replay.violated) << what << " seed " << failing_seed << " did not reproduce";
   EXPECT_EQ(replay.trace_hash, first.trace_hash) << what << " seed " << failing_seed;
@@ -365,10 +372,8 @@ TEST(ChaosReplay, CrashRecoverRepairSameSeedReproduces) {
   // seed-deterministic: identical fault trace and identical (empty)
   // violation on replay.
   for (uint64_t seed : {77ull, 78ull}) {
-    const CanaryOutcome a =
-        RunRepairCanaryScenario(seed, repair::RepairConfig{}, /*remove_heavy=*/true);
-    const CanaryOutcome b =
-        RunRepairCanaryScenario(seed, repair::RepairConfig{}, /*remove_heavy=*/true);
+    const CanaryOutcome a = RunRepairCanaryScenario(seed, /*remove_heavy=*/true);
+    const CanaryOutcome b = RunRepairCanaryScenario(seed, /*remove_heavy=*/true);
     EXPECT_EQ(a.trace_hash, b.trace_hash) << "seed " << seed;
     EXPECT_EQ(a.violation, b.violation) << "seed " << seed;
     EXPECT_FALSE(a.violated) << "seed " << seed << ": " << a.violation;
@@ -377,7 +382,7 @@ TEST(ChaosReplay, CrashRecoverRepairSameSeedReproduces) {
 
 constexpr uint64_t kKey = 0;  // The tombstone canary's single key.
 
-CanaryOutcome RunTombstoneCanaryScenario(uint64_t seed, repair::RepairConfig rcfg) {
+CanaryOutcome RunTombstoneCanaryScenario(uint64_t seed) {
   ScenarioSpec spec;
   spec.seed = seed;
   spec.value_size = 16;
@@ -403,7 +408,7 @@ CanaryOutcome RunTombstoneCanaryScenario(uint64_t seed, repair::RepairConfig rcf
   kv::SwarmKvSession churner(&c.MakeSkewedWorker(spec), &index, &cache_w);
   kv::SwarmKvSession reader1(&c.MakeSkewedWorker(spec), &index, &cache_r1);
   kv::SwarmKvSession reader2(&c.MakeSkewedWorker(spec), &index, &cache_r2);
-  repair::RepairService repair(&c.membership, &c.env.MakeWorker(0), rcfg);
+  repair::RepairService repair(&c.membership, &c.env.MakeWorker(0));
   repair::IndexRepairSource source(&index, repair::LayoutProtocol::kSafeGuess);
   repair.RegisterStore(&source);
   c.engine.set_repair_fn([&repair](int node) { return repair.RecoverAndRepair(node); });
@@ -491,27 +496,20 @@ TEST(ChaosReplay, TombstoneScenarioWithCorrectRepairStaysLinearizable) {
   // correct repair must survive: same seeds, no injected bug, no violation.
   for (int i = 0; i < 120; ++i) {
     const uint64_t seed = 12000 + static_cast<uint64_t>(i);
-    CanaryOutcome out = RunTombstoneCanaryScenario(seed, repair::RepairConfig{});
+    CanaryOutcome out = RunTombstoneCanaryScenario(seed);
     ASSERT_FALSE(out.violated) << "seed " << seed << ": " << out.violation;
   }
 }
 
 TEST(ChaosCanary, SkippedTombstoneRepairIsCaughtAndReplays) {
-  repair::RepairConfig rcfg;
-  rcfg.skip_tombstone_repair = true;
-  ExpectCanaryCaught(
-      12000, [&rcfg](uint64_t seed) { return RunTombstoneCanaryScenario(seed, rcfg); },
-      "skipped-tombstone-repair");
+  ScopedCanary bug(Canary::kSkipTombstoneRepair);
+  ExpectCanaryCaught(12000, RunTombstoneCanaryScenario, "skipped-tombstone-repair");
 }
 
 TEST(ChaosCanary, ReadmitBeforeRepairIsCaughtAndReplays) {
-  repair::RepairConfig rcfg;
-  rcfg.readmit_before_repair = true;
+  ScopedCanary bug(Canary::kReadmitBeforeRepair);
   ExpectCanaryCaught(
-      13000,
-      [&rcfg](uint64_t seed) {
-        return RunRepairCanaryScenario(seed, rcfg, /*remove_heavy=*/false);
-      },
+      13000, [](uint64_t seed) { return RunRepairCanaryScenario(seed, /*remove_heavy=*/false); },
       "readmit-before-repair");
 }
 
@@ -522,7 +520,7 @@ TEST(ChaosCanary, ReadmitBeforeRepairIsCaughtAndReplays) {
 // executing after readmission, possibly at a survivor whose state the lock
 // restoration already harvested — was trusted, because the repair fence only
 // models admission control at the memory node. The membership-epoch fence
-// closes it; this canary runs the epoch-fencing knob OFF (the pre-fix
+// closes it; this canary runs with Canary::kNoEpochFence (the pre-fix
 // build), with a deaf client that never receives membership pushes and long
 // delay spikes that strand verbs in flight across the cycle, and must
 // produce a linearizability violation within a bounded seed budget that
@@ -551,10 +549,9 @@ TEST(ChaosCanary, ReadmitBeforeRepairIsCaughtAndReplays) {
 //   5. POST-FIX the stranded verb bounces off the epoch fence (it is
 //      stamped with the remover's pre-crash epoch), the remove
 //      re-validates, re-arms and retries, and every read stays consistent.
-CanaryOutcome RunStaleEpochCanaryScenario(uint64_t seed, bool epoch_fencing) {
+CanaryOutcome RunStaleEpochCanaryScenario(uint64_t seed) {
   testing::TestEnv env(seed);
   membership::MembershipService ms(&env.sim, &env.fabric, /*detection_delay=*/5 * sim::kMicrosecond);
-  ms.set_epoch_fencing(epoch_fencing);
   index::IndexService index(&env.sim);
 
   Worker& writer = env.MakeWorker();
@@ -702,30 +699,27 @@ TEST(ChaosReplay, StaleClientScenarioWithFencingStaysLinearizable) {
   // must be clean, or the canary below proves nothing.
   uint64_t forced = 0;
   if (testing::ForcedSeed(&forced)) {
-    CanaryOutcome out = RunStaleEpochCanaryScenario(forced, /*epoch_fencing=*/true);
+    CanaryOutcome out = RunStaleEpochCanaryScenario(forced);
     ASSERT_FALSE(out.violated) << "seed " << forced << ": " << out.violation;
     return;
   }
   for (int i = 0; i < 120; ++i) {
     const uint64_t seed = 16000 + static_cast<uint64_t>(i);
-    CanaryOutcome out = RunStaleEpochCanaryScenario(seed, /*epoch_fencing=*/true);
+    CanaryOutcome out = RunStaleEpochCanaryScenario(seed);
     ASSERT_FALSE(out.violated) << "seed " << seed << ": " << out.violation;
   }
 }
 
 TEST(ChaosCanary, StaleEpochInFlightWindowIsCaughtAndReplays) {
-  ExpectCanaryCaught(
-      16000,
-      [](uint64_t seed) { return RunStaleEpochCanaryScenario(seed, /*epoch_fencing=*/false); },
-      "stale-epoch-fence");
+  ScopedCanary bug(Canary::kNoEpochFence);
+  ExpectCanaryCaught(16000, RunStaleEpochCanaryScenario, "stale-epoch-fence");
 }
 
 // ---------- The migration fence canary ----------
 //
 // Elastic membership's counterpart of the stale-epoch window: a live
 // migration flips a key's ownership to the replacement layout WITHOUT
-// fencing the vacated slot (MigrationConfig::disable_flip_fence — the
-// pre-fence build). One client's cache never hears the retired-layout GC,
+// fencing the vacated slot (Canary::kNoFlipFence — the pre-fence build). One client's cache never hears the retired-layout GC,
 // so it keeps committing at the OLD replica set; its quorums may include
 // the vacated slot, and the new layout's quorums need not intersect them —
 // a stale write acked by {vacated, one-old-shared} is invisible to a
@@ -747,7 +741,7 @@ Task<bool> MigrationCanaryStep(repair::MigrationService* migration, int step) {
   co_return co_await migration->Drain(/*node=*/0, /*decommission=*/true);
 }
 
-CanaryOutcome RunMigrationFenceCanaryScenario(uint64_t seed, bool flip_fence) {
+CanaryOutcome RunMigrationFenceCanaryScenario(uint64_t seed) {
   ScenarioSpec spec;
   spec.seed = seed;
   spec.clients = 4;
@@ -782,10 +776,8 @@ CanaryOutcome RunMigrationFenceCanaryScenario(uint64_t seed, bool flip_fence) {
         testing::MakeCoupledParticipant(&c.env.sim, i, tracked.back().get()));
     recycler.Register(participants.back().get());
   }
-  repair::MigrationConfig mcfg;
-  mcfg.disable_flip_fence = !flip_fence;
   repair::MigrationService migration(&c.membership, &index, &c.env.MakeWorker(0),
-                                     repair::LayoutProtocol::kSafeGuess, mcfg);
+                                     repair::LayoutProtocol::kSafeGuess);
   int mig_step = 0;
   c.engine.set_migration_fn(
       [&migration, &mig_step]() { return MigrationCanaryStep(&migration, mig_step++); });
@@ -821,22 +813,20 @@ TEST(ChaosReplay, MigrationScenarioWithFlipFenceStaysLinearizable) {
   // proves nothing.
   uint64_t forced = 0;
   if (testing::ForcedSeed(&forced)) {
-    CanaryOutcome out = RunMigrationFenceCanaryScenario(forced, /*flip_fence=*/true);
+    CanaryOutcome out = RunMigrationFenceCanaryScenario(forced);
     ASSERT_FALSE(out.violated) << "seed " << forced << ": " << out.violation;
     return;
   }
   for (int i = 0; i < 120; ++i) {
     const uint64_t seed = 17000 + static_cast<uint64_t>(i);
-    CanaryOutcome out = RunMigrationFenceCanaryScenario(seed, /*flip_fence=*/true);
+    CanaryOutcome out = RunMigrationFenceCanaryScenario(seed);
     ASSERT_FALSE(out.violated) << "seed " << seed << ": " << out.violation;
   }
 }
 
 TEST(ChaosCanary, UnfencedMigrationFlipIsCaughtAndReplays) {
-  ExpectCanaryCaught(
-      17000,
-      [](uint64_t seed) { return RunMigrationFenceCanaryScenario(seed, /*flip_fence=*/false); },
-      "migration-flip-fence");
+  ScopedCanary bug(Canary::kNoFlipFence);
+  ExpectCanaryCaught(17000, RunMigrationFenceCanaryScenario, "migration-flip-fence");
 }
 
 // ---------- The read-path canaries ----------
@@ -1083,7 +1073,7 @@ TEST(ChaosQpDrop, BurstsTargetOnlyTheTaggedQp) {
 // lost write-locks no reader ever took, and reported kOk for writes that
 // never took effect — after which reads returned older values written
 // before those acknowledged writes, a real-time-order violation. Pre-fix
-// (enforce_writer_bounds OFF: ChaosEnv keeps W=8 verbatim and Safe-Guess's
+// (Canary::kNoWriterBound: ChaosEnv keeps W=8 verbatim and Safe-Guess's
 // fail-fast bound check stands down) the checker must catch the violation
 // within a bounded seed budget and replay it byte-identically; the fixed
 // configuration (auto-sized W, check armed) must stay green on the same
@@ -1108,15 +1098,13 @@ ScenarioSpec WriterBoundCanarySpec(uint64_t seed) {
   return spec;
 }
 
-CanaryOutcome RunWriterBoundCanaryScenario(uint64_t seed, bool enforce_bounds) {
+CanaryOutcome RunWriterBoundCanaryScenario(uint64_t seed) {
   const ScenarioSpec spec = WriterBoundCanarySpec(seed);
-  ProtocolConfig pcfg = testing::TestEnv::DefaultProtocol();
-  // OFF = the pre-fix build: ChaosEnv::SizeProtocolFor leaves W=8 for the 10
-  // writers and the protocol's own bound check does not abort, reproducing
-  // the historical out-of-bounds lock arbitration byte-for-byte.
-  pcfg.enforce_writer_bounds = enforce_bounds;
-
-  ChaosEnv c(spec, testing::TestEnv::DefaultFabric(), pcfg);
+  // Under Canary::kNoWriterBound (the pre-fix build) ChaosEnv::SizeProtocolFor
+  // leaves W=8 for the 10 writers and the protocol's own bound check does not
+  // abort, reproducing the historical out-of-bounds lock arbitration
+  // byte-for-byte.
+  ChaosEnv c(spec);
   index::IndexService index(&c.env.sim, &c.env.fabric);
   std::vector<std::unique_ptr<index::ClientCache>> caches;
   std::vector<std::unique_ptr<kv::SwarmKvSession>> sessions;
@@ -1150,24 +1138,20 @@ TEST(ChaosReplay, TenWriterStormWithSizedTslStaysLinearizable) {
   // the exact seeds the pre-fix canary scans, or the canary proves nothing.
   uint64_t forced = 0;
   if (testing::ForcedSeed(&forced)) {
-    CanaryOutcome out = RunWriterBoundCanaryScenario(forced, /*enforce_bounds=*/true);
+    CanaryOutcome out = RunWriterBoundCanaryScenario(forced);
     ASSERT_FALSE(out.violated) << "seed " << forced << ": " << out.violation;
     return;
   }
   for (int i = 0; i < 40; ++i) {
     const uint64_t seed = 18000 + static_cast<uint64_t>(i);
-    CanaryOutcome out = RunWriterBoundCanaryScenario(seed, /*enforce_bounds=*/true);
+    CanaryOutcome out = RunWriterBoundCanaryScenario(seed);
     ASSERT_FALSE(out.violated) << "seed " << seed << ": " << out.violation;
   }
 }
 
 TEST(ChaosCanary, UndersizedWriterBoundIsCaughtAndReplays) {
-  ExpectCanaryCaught(
-      18000,
-      [](uint64_t seed) {
-        return RunWriterBoundCanaryScenario(seed, /*enforce_bounds=*/false);
-      },
-      "undersized-writer-bound");
+  ScopedCanary bug(Canary::kNoWriterBound);
+  ExpectCanaryCaught(18000, RunWriterBoundCanaryScenario, "undersized-writer-bound");
 }
 
 TEST(ChaosCanary, WeakQuorumBugIsCaughtAndItsSeedReplays) {

@@ -7,7 +7,7 @@
 //  * a doorbell batch straddling an epoch bump is fenced coherently: every
 //    verb of the batch bounces, none applies;
 //  * the repair coordinator's channel passes the epoch fence;
-//  * the canary knob (set_epoch_fencing(false)) restores pre-fix behavior.
+//  * Canary::kNoEpochFence (src/util/canary.h) restores pre-fix behavior.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 
 #include "src/membership/membership.h"
 #include "src/swarm/worker.h"
+#include "src/util/canary.h"
 #include "tests/support/test_env.h"
 
 namespace swarm {
@@ -196,8 +197,8 @@ TEST(EpochFence, CanaryKnobRestoresPreFixBehavior) {
   // With fencing disabled the epoch still advances and is still pushed, but
   // stale-stamped verbs land and are trusted — the §5.4 residual window the
   // chaos canary demonstrates.
+  ScopedCanary no_fence(Canary::kNoEpochFence);
   EpochEnv f;
-  f.membership.set_epoch_fencing(false);
   Worker& w = f.MakeEpochWorker(/*subscribe=*/false);
   const uint64_t addr = f.env.fabric.node(1).Allocate(8);
 

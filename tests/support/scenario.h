@@ -31,6 +31,7 @@
 #include "src/membership/membership.h"
 #include "src/sim/chaos.h"
 #include "src/swarm/recycler.h"
+#include "src/util/canary.h"
 #include "src/ycsb/workload.h"
 #include "tests/support/lincheck.h"
 #include "tests/support/test_env.h"
@@ -188,11 +189,11 @@ struct ChaosEnv {
   // the configured W must widen each object's TSL region: a writer tid past
   // the region would CAS the neighboring slab slot's words and mis-arbitrate
   // its own guesses (caught by the 10-client checker-scale storms; see the
-  // UndersizedWriterBound canary in chaos_replay_test.cc). A caller that
-  // turns enforce_writer_bounds off keeps its config verbatim — that is the
+  // UndersizedWriterBound canary in chaos_replay_test.cc). Under
+  // Canary::kNoWriterBound the config is kept verbatim — that is the
   // canary's pre-fix reproduction path.
   static ProtocolConfig SizeProtocolFor(const ScenarioSpec& spec, ProtocolConfig pcfg) {
-    if (pcfg.enforce_writer_bounds) {
+    if (!CanaryOn(Canary::kNoWriterBound)) {
       pcfg.max_writers = std::max(pcfg.max_writers, spec.clients);
     }
     return pcfg;
