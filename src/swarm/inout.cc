@@ -90,6 +90,7 @@ sim::Task<NodeMaxResult> InOutReplica::WriteMaxImpl(Meta w, std::span<const uint
     result.observed = TsMax(result.observed, desired);
     if (desired == w_full) {
       result.installed = w_full;
+      result.replaced = prev;
       free_superseded(prev);
     } else if (has_payload) {
       pool.Free(w_full.oop());  // Lost to the cached word: buffer unused.
@@ -109,6 +110,7 @@ sim::Task<NodeMaxResult> InOutReplica::WriteMaxImpl(Meta w, std::span<const uint
     result.observed = TsMax(result.observed, seen);
     if (seen == prev) {
       result.installed = w_full;
+      result.replaced = prev;
       result.observed = TsMax(result.observed, w_full);
       free_superseded(prev);
       co_return result;

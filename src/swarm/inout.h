@@ -60,6 +60,7 @@ struct [[nodiscard]] NodeMaxResult {
   fabric::Status status = fabric::Status::kOk;
   Meta installed;  // the word now in our slot if we won; default if we lost.
   Meta observed;   // ts-max word observed at the slot during the op.
+  Meta replaced;   // the word our install overwrote, maybe a slot-sharer's.
   int cas_retries = 0;
 
   bool ok() const { return status == fabric::Status::kOk; }

@@ -61,6 +61,12 @@ sim::Task<void> WriteAndReadOne(Worker* worker, const ObjectLayout* layout,
   if (mr.observed.same_write_key() != ph->w.same_write_key()) {
     excl = TsMax(excl, mr.observed);
   }
+  // A foreign word we overwrote in a shared slot is in neither `observed`
+  // nor the read: a Delete that replaced another writer's tombstone must
+  // still see the object was dead. For writes it is below w: no path change.
+  if (mr.replaced.same_write_key() != ph->w.same_write_key()) {
+    excl = TsMax(excl, mr.replaced);
+  }
   ph->m = TsMax(ph->m, excl);
   ph->installed[static_cast<size_t>(r)] = mr.installed;
   ph->max_retries = std::max(ph->max_retries, mr.cas_retries);

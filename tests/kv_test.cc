@@ -171,6 +171,57 @@ TEST_P(KvCrashedDeleter, UpdateBounceIsAmbiguousOnlyForSafeGuess) {
 
 INSTANTIATE_TEST_SUITE_P(Stores, KvCrashedDeleter, ::testing::Values("swarm", "dmabd"));
 
+// Regression (chaos_churn seed 110): tids 0 and 4 share metadata slot 0
+// (tid % meta_slots, meta_slots = 4). Client B caches the key, its write
+// through a second cache bounces off client A's tombstone (so B's slot cache
+// holds that tombstone), and A re-inserts the key under a new generation.
+// B's remove through the stale cached generation then replaces A's tombstone
+// with its own on the first CAS; it must still see the object was dead,
+// re-locate and delete the live generation. Safe-Guess used to return kOk
+// on the 1-RT fast path and leave the live key in place. ABD's CAS-max
+// counts only words the nodes returned, so its case is a pin.
+class KvSlotSharingRemove : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(KvSlotSharingRemove, StaleCachedRemoveDeletesTheLiveGeneration) {
+  KvFixture fx;
+  auto a = fx.Make(GetParam());  // tid 0
+  for (int i = 1; i < 4; ++i) {
+    fx.env.MakeWorker();  // tids 1-3: bystanders
+  }
+  Worker& wb = fx.env.MakeWorker();  // tid 4: shares A's slot
+  ASSERT_EQ(wb.tid() % static_cast<uint32_t>(fx.env.proto.meta_slots), 0u);
+  index::ClientCache stale_cache;
+  index::ClientCache bounce_cache;
+  std::unique_ptr<KvSession> b_stale;
+  std::unique_ptr<KvSession> b_bounce;
+  if (std::string(GetParam()) == "swarm") {
+    b_stale = std::make_unique<SwarmKvSession>(&wb, &fx.indexsvc, &stale_cache);
+    b_bounce = std::make_unique<SwarmKvSession>(&wb, &fx.indexsvc, &bounce_cache);
+  } else {
+    b_stale = std::make_unique<DmAbdKvSession>(&wb, &fx.indexsvc, &stale_cache);
+    b_bounce = std::make_unique<DmAbdKvSession>(&wb, &fx.indexsvc, &bounce_cache);
+  }
+  bool done = false;
+  auto driver = [](KvSession* a2, KvSession* stale, KvSession* bounce, bool* done2) -> Task<void> {
+    EXPECT_TRUE((co_await a2->Insert(7, ValN(16, 0xA1))).ok());
+    EXPECT_EQ((co_await stale->Get(7)).status, KvStatus::kOk);   // Caches generation 1.
+    EXPECT_EQ((co_await bounce->Get(7)).status, KvStatus::kOk);  // Likewise.
+    EXPECT_EQ((co_await a2->Remove(7)).status, KvStatus::kOk);
+    // Bounces off A's tombstone: B's slot cache now holds it.
+    EXPECT_EQ((co_await bounce->Update(7, ValN(16, 0xB2))).status, KvStatus::kNotFound);
+    EXPECT_TRUE((co_await a2->Insert(7, ValN(16, 0xC3))).ok());  // Generation 2.
+    EXPECT_EQ((co_await stale->Remove(7)).status, KvStatus::kOk);
+    KvResult g = co_await a2->Get(7);
+    EXPECT_EQ(g.status, KvStatus::kNotFound) << "the stale remove left the live key in place";
+    *done2 = true;
+  };
+  Spawn(driver(a.get(), b_stale.get(), b_bounce.get(), &done));
+  fx.env.sim.Run();
+  EXPECT_TRUE(done);
+}
+
+INSTANTIATE_TEST_SUITE_P(Stores, KvSlotSharingRemove, ::testing::Values("swarm", "dmabd"));
+
 // Regression: a remove through a stale cached location used to
 // fire-and-forget the generation-guarded unmap, tombstone a dead region,
 // and report kOk while the re-inserted live mapping survived untouched.

@@ -144,6 +144,39 @@ TEST(SafeGuess, DeleteMakesObjectUnwritable) {
   env.sim.Run();
 }
 
+// Regression (chaos_churn seed 110): tids 0 and 4 share metadata slot 0
+// (meta_slots = 4). After tid 0 deletes, tid 4's write bounces and caches
+// tid 0's tombstone as its slot word, so tid 4's delete replaces that
+// tombstone on the first CAS. The replaced word is gone from the slot, and
+// the delete must still report that the object was already dead.
+TEST(SafeGuess, DeleteOverASlotSharersTombstoneReportsDeleted) {
+  TestEnv env;
+  Worker& w0 = env.MakeWorker();
+  for (int i = 1; i < 4; ++i) {
+    env.MakeWorker();
+  }
+  Worker& w4 = env.MakeWorker();
+  ASSERT_EQ(w4.tid() % static_cast<uint32_t>(env.proto.meta_slots),
+            w0.tid() % static_cast<uint32_t>(env.proto.meta_slots));
+  ObjectLayout layout = env.MakeObject();
+
+  bool done = false;
+  auto driver = [](Worker* a, Worker* b, const ObjectLayout* layout2, bool* done2) -> Task<void> {
+    SafeGuessObject obj_a(a, layout2, std::make_shared<ObjectCache>());
+    SafeGuessObject obj_b(b, layout2, std::make_shared<ObjectCache>());
+    EXPECT_EQ((co_await obj_b.Write(ValN(16, 1))).status, SgStatus::kOk);
+    EXPECT_EQ((co_await obj_a.Delete()).status, SgStatus::kOk);
+    EXPECT_EQ((co_await obj_b.Write(ValN(16, 2))).status, SgStatus::kDeleted);
+    SgWriteResult del = co_await obj_b.Delete();
+    EXPECT_EQ(del.status, SgStatus::kDeleted)
+        << "fast_path=" << del.fast_path << " rtts=" << del.rtts;
+    *done2 = true;
+  };
+  Spawn(driver(&w0, &w4, &layout, &done));
+  env.sim.Run();
+  EXPECT_TRUE(done);
+}
+
 TEST(SafeGuess, MinorityCrashKeepsObjectAvailable) {
   TestEnv env;
   Worker& w = env.MakeWorker();
