@@ -120,9 +120,6 @@ sim::Task<MigrateStatus> MigrationService::MigrateKey(uint64_t key, int from, in
   }
 
   // --- fence + epoch bump -------------------------------------------------
-  // Canary::kNoFlipFence (src/util/canary.h) flips WITHOUT fencing the
-  // vacated slot: stale-cached clients keep committing at the old replica and
-  // the two layouts' quorums stop intersecting.
   const bool fenced = !CanaryOn(Canary::kNoFlipFence);
   if (fenced) {
     SetSlotFence(worker_->fabric()->node(from), src.get(), vacated, /*fenced=*/true);

@@ -11,17 +11,11 @@ namespace swarm {
 namespace {
 
 // A layout's TSL region holds exactly max_writers lock words; a writer whose
-// tid indexes past it CASes its timestamp lock PAST the end of the object's
-// slab slot into whatever object owns the neighboring slot: its bounce/slow-
-// path arbitration then reads foreign words as garbage lock counters, loses
-// every arbitration it should win, and reports kOk for writes that never took
-// effect — a linearizability violation surfaced by 10-client 10^5-op
-// contention storms against the default W=8. That is a deployment
-// misconfiguration (ProtocolConfig::max_writers must cover every writer tid),
-// not a runtime condition, so every mutating entry point checks before
-// touching the fabric and aborts at the first write instead of corrupting an
-// unrelated object. Canary::kNoWriterBound (src/util/canary.h) stands the
-// check down to reproduce the historical corruption.
+// tid indexes past it CASes the NEIGHBORING slab slot's words, loses
+// arbitrations it should win and reports kOk for writes that never took
+// effect. That is a misconfiguration (ProtocolConfig::max_writers must cover
+// every writer tid), so every mutating entry point checks before touching the
+// fabric and aborts instead of corrupting an unrelated object.
 void CheckWriterBound(Worker* worker, const ObjectLayout* layout) {
   if (CanaryOn(Canary::kNoWriterBound) ||
       worker->tid() < static_cast<uint32_t>(layout->max_writers)) {

@@ -1,17 +1,9 @@
-// Test-only bug-injection seam (in the spirit of FoundationDB's BUGGIFY).
-//
-// The canary gallery (tests/chaos_replay_test.cc) proves the chaos checker
-// would catch the loss of each safety mechanism by switching the mechanism
-// off and demanding a linearizability violation that replays byte-for-byte
-// from its seed. The switches live here, not in production config structs or
-// signatures: each injection site asks CanaryOn() at the one point where the
-// mechanism acts, and only tests turn a canary on, through ScopedCanary.
-// tools/lint/check_protocol_invariants.py (pass swarm-canary-seam) rejects
-// ScopedCanary / SetCanary outside tests/ and this header.
-//
-// CanaryOn() is a single load of a plain global, so a production build pays
-// one predictable branch per injection site and nothing else. The simulator
-// is single-threaded; so is every test that flips a canary.
+// Test-only bug-injection seam, after FoundationDB's BUGGIFY. The canary
+// gallery (tests/chaos_replay_test.cc) switches one safety mechanism off and
+// demands a linearizability violation that replays from its seed. Each
+// injection site asks CanaryOn() where the mechanism acts; only tests turn a
+// canary on, through ScopedCanary (lint pass swarm-canary-seam). CanaryOn()
+// is one load of a plain global: the simulator is single-threaded.
 
 #ifndef SWARM_SRC_UTIL_CANARY_H_
 #define SWARM_SRC_UTIL_CANARY_H_
@@ -21,26 +13,11 @@
 namespace swarm {
 
 enum class Canary : unsigned char {
-  // Replica copies (crash repair and migration) drop delete tombstones:
-  // deleted objects resurrect through a quorum pairing the rejoined replica
-  // with a stale survivor (§5.3). src/repair/quorum_copy.cc, src/swarm/abd.cc.
-  kSkipTombstoneRepair,
-  // RepairService readmits a node before its repair ran: empty replicas
-  // serve reads and miss committed writes. src/repair/repair.cc.
-  kReadmitBeforeRepair,
-  // Migration flips ownership without fencing the vacated slot: stale-cached
-  // clients keep committing at the old replica and the two layouts' quorums
-  // stop intersecting. src/repair/migration.cc.
-  kNoFlipFence,
-  // Memory nodes keep learning the membership epoch but stop enforcing it:
-  // verbs in flight across a crash-repair cycle land and are trusted (§5.4).
-  // src/fabric/memory_node.h.
-  kNoEpochFence,
-  // Writer tids past a layout's TSL region are not rejected: their lock CASes
-  // land in the neighbouring slab slot (§3.3). src/swarm/safe_guess.cc,
-  // src/swarm/timestamp_lock.cc, and tests/support/scenario.h (ChaosEnv then
-  // keeps W=8 for more writers).
-  kNoWriterBound,
+  kSkipTombstoneRepair,  // Replica copies drop tombstones: deletes resurrect (§5.3).
+  kReadmitBeforeRepair,  // RepairService readmits a node before repairing it.
+  kNoFlipFence,          // Migration flips without fencing the vacated slot.
+  kNoEpochFence,         // Memory nodes learn the membership epoch but admit stale verbs (§5.4).
+  kNoWriterBound,        // Writer tids past the TSL region are not rejected (§3.3).
   kCount,
 };
 
@@ -53,11 +30,10 @@ inline bool CanaryOn(Canary c) { return canary_internal::on[static_cast<size_t>(
 // Tests only; prefer ScopedCanary, which restores the previous state.
 inline void SetCanary(Canary c, bool on) { canary_internal::on[static_cast<size_t>(c)] = on; }
 
-// Turns `c` on (or off) for the scope's lifetime, then restores whatever it
-// was before, so scopes nest.
+// Turns `c` on for the scope's lifetime, then restores what it was before.
 class ScopedCanary {
  public:
-  explicit ScopedCanary(Canary c, bool on = true) : c_(c), prev_(CanaryOn(c)) { SetCanary(c, on); }
+  explicit ScopedCanary(Canary c) : c_(c), prev_(CanaryOn(c)) { SetCanary(c, true); }
   ~ScopedCanary() { SetCanary(c_, prev_); }
   ScopedCanary(const ScopedCanary&) = delete;
   ScopedCanary& operator=(const ScopedCanary&) = delete;

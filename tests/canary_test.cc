@@ -45,11 +45,6 @@ TEST(Canary, NestedScopesRestoreThePreviousState) {
       EXPECT_TRUE(CanaryOn(Canary::kNoEpochFence));
     }
     EXPECT_TRUE(CanaryOn(Canary::kNoEpochFence)) << "inner scope switched the outer one off";
-    {
-      ScopedCanary off(Canary::kNoEpochFence, /*on=*/false);
-      EXPECT_FALSE(CanaryOn(Canary::kNoEpochFence));
-    }
-    EXPECT_TRUE(CanaryOn(Canary::kNoEpochFence)) << "an off-scope did not restore on";
   }
   EXPECT_FALSE(CanaryOn(Canary::kNoEpochFence));
 }

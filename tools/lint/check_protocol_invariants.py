@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Repo-specific protocol-invariant static analysis for the swarm tree.
 
-Four passes, each encoding a bug CLASS the chaos engine caught dynamically,
-so the class is rejected at lint time instead of seed-replay time:
+Four passes encode a bug CLASS the chaos engine caught dynamically, so the
+class is rejected at lint time instead of seed-replay time; a fifth keeps the
+test-only bug-injection seam test-only:
 
   swarm-unchecked-commit-critical
       A fabric-verb / commit-critical result must reach a branch, a caller,
@@ -32,6 +33,12 @@ so the class is rejected at lint time instead of seed-replay time:
       that treats kStaleEpoch like a node failure turns a membership
       transition into evidence about object state.
 
+  swarm-canary-seam
+      The canary gallery's injected bugs switch on through src/util/canary.h
+      (ScopedCanary / SetCanary). Only tests/ and that header may name the
+      switches; production code may only ask CanaryOn(). A canary set
+      outside the tests would ship a known linearizability bug.
+
 Frontend note: this was designed for libclang (clang.cindex); the build
 image ships neither the libclang C API nor the Python bindings, and the
 tree's no-new-deps rule forbids installing them, so the tool carries a
@@ -56,6 +63,7 @@ CHECKS = (
     "swarm-hot-path-alloc",
     "swarm-bounded-slot-index",
     "swarm-retry-stale-epoch",
+    "swarm-canary-seam",
 )
 
 # Callee names whose results are commit-critical: the one-sided verbs, the
@@ -629,6 +637,30 @@ def check_retry_stale_epoch(fn, findings, by_name):
                              "epoch and retry, never treat it as failure"))
 
 
+# Names that switch a canary on, and the only places allowed to use them
+# (relative to the repository root).
+CANARY_SETTERS = {"ScopedCanary", "SetCanary"}
+CANARY_SEAM_HEADER = os.path.join("src", "util", "canary.h")
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+
+def canary_setters_allowed(path):
+    rel = os.path.relpath(os.path.abspath(path), REPO_ROOT)
+    return rel == CANARY_SEAM_HEADER or rel.split(os.sep)[0] == "tests"
+
+
+def check_canary_seam(path, toks, findings):
+    if canary_setters_allowed(path):
+        return
+    for t in toks:
+        if t.kind == "id" and t.text in CANARY_SETTERS:
+            findings.append((t.line, "swarm-canary-seam",
+                             f"`{t.text}` outside tests/: canaries plant known "
+                             "bugs and only tests may switch them on "
+                             "(src/util/canary.h) — production code may only "
+                             "ask CanaryOn()"))
+
+
 # --- Driver -----------------------------------------------------------------
 
 def lint_file(path, enabled):
@@ -644,6 +676,8 @@ def lint_file(path, enabled):
     for fn in funcs:
         by_name.setdefault(fn.name, fn)
     findings = []
+    if "swarm-canary-seam" in enabled:
+        check_canary_seam(path, toks, findings)
     for fn in funcs:
         if "swarm-unchecked-commit-critical" in enabled:
             check_unchecked_commit_critical(fn, findings)

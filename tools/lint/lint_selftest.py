@@ -24,6 +24,7 @@ CASES = {
     "swarm-hot-path-alloc": ("hot_path_alloc", 4),
     "swarm-bounded-slot-index": ("bounded_slot_index", 2),
     "swarm-retry-stale-epoch": ("retry_stale_epoch", 1),
+    "swarm-canary-seam": ("canary_seam", 2),
 }
 
 
@@ -69,6 +70,17 @@ def main():
     toks, suppressed = lint.tokenize(nolint_src)
     if 3 not in suppressed or "swarm-unchecked-commit-critical" not in suppressed[3]:
         failures.append("NOLINTNEXTLINE suppression parsing broke")
+
+    # The canary pass is path-scoped: the same setter use is allowed in the
+    # tests and in the seam header, and nowhere else.
+    for allowed in ("tests/chaos_replay_test.cc", "tests/support/scenario.h",
+                    "src/util/canary.h"):
+        if not lint.canary_setters_allowed(os.path.join(lint.REPO_ROOT, allowed)):
+            failures.append(f"swarm-canary-seam: {allowed} must be allowed to set canaries")
+    for banned in ("src/repair/repair.cc", "bench/bench_fig8_scalability.cc",
+                   "tools/lint/fixtures/canary_seam_trip.cc", "src/util/tests/x.cc"):
+        if lint.canary_setters_allowed(os.path.join(lint.REPO_ROOT, banned)):
+            failures.append(f"swarm-canary-seam: {banned} must not be allowed to set canaries")
 
     if failures:
         print("lint self-test FAILED:", file=sys.stderr)
