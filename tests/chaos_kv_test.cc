@@ -280,7 +280,7 @@ ScenarioSpec CrashRecoverSpec(uint64_t seed) {
 // membership pushes (neither failure notifications nor epoch advances), so
 // it keeps issuing verbs stamped with its boot-time epoch across whole
 // crash-repair cycles. The epoch fence must bounce them (kStaleEpoch →
-// re-validation pull → retry); with the pre-fix canary knob they land on
+// re-validation pull → retry); under Canary::kNoEpochFence they land on
 // repaired state and are trusted.
 void RunCrashRecoverSwarmScenario(const ScenarioSpec& spec, bool stale_client = false) {
   ChaosEnv c(spec);
