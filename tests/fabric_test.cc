@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "src/sim/simulator.h"
@@ -357,6 +358,265 @@ TEST(Fabric, ExtraDelaySlowsNode) {
   sim.Run();
   EXPECT_EQ(status, Status::kOk);
   EXPECT_GT(latency, 6000);
+}
+
+// --- Verb-outcome matrix. ---------------------------------------------------
+//
+// Every verb against every way a verb can end, on the jitter-free fixture:
+// exact completion instant, status, node-side effect, CAS old value, byte
+// and op accounting, drop-hook legs and the QP's revocation state. Pins the
+// deliberate asymmetries between the verbs: a READ treats a dropped response
+// like a dropped request (nothing is delivered, the response leg is sampled
+// up front), a write or CAS whose response drops still applies, a staged
+// write's halves are fenced like the verb itself, and only kStaleEpoch
+// revokes the QP.
+
+enum class MatrixVerb { kRead, kWrite, kCas, kWriteThenCas };
+enum class MatrixCase { kOk, kCrashed, kStaleEpoch, kMovedReplica, kRequestDropped, kResponseDropped };
+
+constexpr size_t kMatrixLen = 64;     // Payload of READ/WRITE: staged (> 8 B, xfer 5 ns).
+constexpr uint64_t kMatrixOld = 5;    // CAS word before the verb.
+constexpr uint64_t kMatrixNew = 9;    // CAS desired value.
+
+struct MatrixRun {
+  OpResult result;
+  Time done_at = -1;
+  bool applied = false;  // READ: bytes delivered; others: node memory changed.
+  bool untouched = true; // Node memory exactly as before the verb.
+  FabricStats stats;
+  bool revoked = false;
+  std::vector<bool> drop_legs;  // `response` flag of each drop-hook call.
+};
+
+Task<void> IssueMatrixVerb(Fabric* f, Qp* qp, MatrixVerb verb, uint64_t buf, uint64_t word,
+                           std::vector<uint8_t>* data, std::vector<uint8_t>* out,
+                           MatrixRun* run) {
+  switch (verb) {
+    case MatrixVerb::kRead:
+      run->result = co_await qp->Read(buf, *out);
+      break;
+    case MatrixVerb::kWrite:
+      run->result = co_await qp->Write(buf, *data);
+      break;
+    case MatrixVerb::kCas:
+      run->result = co_await qp->Cas(word, kMatrixOld, kMatrixNew);
+      break;
+    case MatrixVerb::kWriteThenCas:
+      run->result = co_await qp->WriteThenCas(buf, *data, word, kMatrixOld, kMatrixNew);
+      break;
+  }
+  run->done_at = f->sim()->Now();
+}
+
+MatrixRun RunMatrixVerb(MatrixVerb verb, MatrixCase c) {
+  Simulator sim;
+  MatrixRun run;
+  FabricConfig cfg = TestConfig();
+  cfg.drop_fn = [&run, c](int /*node*/, bool response, int /*qp_tag*/) {
+    run.drop_legs.push_back(response);
+    return response ? c == MatrixCase::kResponseDropped : c == MatrixCase::kRequestDropped;
+  };
+  Fabric fabric(&sim, cfg);
+  MemoryNode& node = fabric.node(0);
+  const uint64_t buf = node.Allocate(kMatrixLen);
+  const uint64_t word = node.Allocate(8);
+  std::vector<uint8_t> before(kMatrixLen, 0xAA);
+  node.WriteFrom(buf, before);
+  node.StoreWord(word, kMatrixOld);
+
+  uint64_t client_epoch = 1;
+  Qp qp(&fabric, 0, nullptr);
+  qp.set_epoch(&client_epoch);
+  switch (c) {
+    case MatrixCase::kCrashed:
+      fabric.Crash(0);
+      break;
+    case MatrixCase::kStaleEpoch:
+      fabric.SetFenceEpoch(2);
+      break;
+    case MatrixCase::kMovedReplica:
+      node.RetireRegion(buf, kMatrixLen);
+      node.RetireRegion(word, 8);
+      break;
+    default:
+      break;
+  }
+
+  std::vector<uint8_t> data(kMatrixLen, 0xBB);
+  std::vector<uint8_t> out(kMatrixLen, 0);
+  Spawn(IssueMatrixVerb(&fabric, &qp, verb, buf, word, &data, &out, &run));
+  sim.Run();
+
+  std::vector<uint8_t> now(kMatrixLen);
+  node.ReadInto(buf, now);
+  const uint64_t word_now = node.LoadWord(word);
+  run.untouched = now == before && word_now == kMatrixOld;
+  switch (verb) {
+    case MatrixVerb::kRead:
+      run.applied = out == before;
+      break;
+    case MatrixVerb::kWrite:
+      run.applied = now == data;
+      break;
+    case MatrixVerb::kCas:
+      run.applied = word_now == kMatrixNew;
+      break;
+    case MatrixVerb::kWriteThenCas:
+      run.applied = now == data && word_now == kMatrixNew;
+      break;
+  }
+  run.stats = fabric.stats();
+  run.revoked = qp.revoked();
+  return run;
+}
+
+TEST(Fabric, VerbOutcomeMatrix) {
+  // Fixture timing: one-way 700, node_op_cost 50, read_extra 250, a 64 B
+  // transfer 5 ns, failure_detect_delay 4000, no CPU (departure at t = 0).
+  // The NIC serves at arrival (700); a READ and a CAS execute there, a
+  // WRITE when its last byte lands (705), a WRITE→CAS series's CAS one
+  // node_op_cost after its write (755). Responses take node_op_cost + 700.
+  struct VerbFacts {
+    MatrixVerb verb;
+    const char* name;
+    Time exec;             // Node-side execution instant of the final leg.
+    Time ok_done;          // Completion of the successful verb.
+    uint64_t ops;          // ops_issued (a pipelined series posts two WQEs).
+    uint64_t reads, writes, casses;
+    uint64_t to_nodes;     // Request bytes (counted at posting, always).
+    uint64_t from_nodes_ok;
+  };
+  const VerbFacts verbs[] = {
+      {MatrixVerb::kRead, "Read", 700, 700 + 50 + 250 + 700 + 5, 1, 1, 0, 0, kVerbHeaderBytes,
+       kVerbHeaderBytes + kMatrixLen},
+      {MatrixVerb::kWrite, "Write", 705, 705 + 50 + 700, 1, 0, 1, 0,
+       kVerbHeaderBytes + kMatrixLen, kAckBytes},
+      {MatrixVerb::kCas, "Cas", 700, 700 + 50 + 700, 1, 0, 0, 1, kVerbHeaderBytes + 16,
+       kAckBytes + 8},
+      {MatrixVerb::kWriteThenCas, "WriteThenCas", 755, 755 + 50 + 700, 2, 0, 1, 1,
+       2 * kVerbHeaderBytes + kMatrixLen + 16, kAckBytes + 8},
+  };
+  const bool is_cas[] = {false, false, true, true};
+  const MatrixCase cases[] = {MatrixCase::kOk,           MatrixCase::kCrashed,
+                              MatrixCase::kStaleEpoch,   MatrixCase::kMovedReplica,
+                              MatrixCase::kRequestDropped, MatrixCase::kResponseDropped};
+  const char* case_names[] = {"ok", "crashed", "stale-epoch", "moved-replica", "request-dropped",
+                              "response-dropped"};
+
+  for (size_t v = 0; v < 4; ++v) {
+    const VerbFacts& vf = verbs[v];
+    for (size_t k = 0; k < 6; ++k) {
+      const MatrixCase c = cases[k];
+      SCOPED_TRACE(std::string(vf.name) + " / " + case_names[k]);
+      const MatrixRun run = RunMatrixVerb(vf.verb, c);
+
+      Status status = Status::kOk;
+      Time done = vf.ok_done;
+      bool applied = true;
+      uint64_t from_nodes = vf.from_nodes_ok;
+      std::vector<bool> legs = {false, true};
+      switch (c) {
+        case MatrixCase::kOk:
+          break;
+        case MatrixCase::kCrashed:
+          status = Status::kNodeFailed;
+          done = 4000;
+          applied = false;
+          from_nodes = 0;
+          break;
+        case MatrixCase::kStaleEpoch:
+          status = Status::kStaleEpoch;
+          done = vf.exec + 50 + 700;  // NACK at response speed.
+          applied = false;
+          from_nodes = kAckBytes;
+          break;
+        case MatrixCase::kMovedReplica:
+          status = Status::kMovedReplica;
+          done = vf.exec + 50 + 700;
+          applied = false;
+          from_nodes = kAckBytes;
+          break;
+        case MatrixCase::kRequestDropped:
+          status = Status::kNodeFailed;
+          done = 4000;
+          applied = false;
+          from_nodes = 0;
+          legs = {false};  // The response leg is never sampled.
+          break;
+        case MatrixCase::kResponseDropped:
+          status = Status::kNodeFailed;
+          done = 4000;
+          applied = vf.verb != MatrixVerb::kRead;  // Writes and CASes still land.
+          from_nodes = 0;
+          break;
+      }
+
+      EXPECT_EQ(run.result.status, status);
+      EXPECT_EQ(run.done_at, done);
+      EXPECT_EQ(run.applied, applied);
+      if (vf.verb != MatrixVerb::kRead) {
+        EXPECT_EQ(run.untouched, !applied);  // No half-applied staged write.
+      } else {
+        EXPECT_TRUE(run.untouched);
+      }
+      EXPECT_EQ(run.result.old_value, is_cas[v] && c == MatrixCase::kOk ? kMatrixOld : 0u);
+      EXPECT_EQ(run.stats.ops_issued, vf.ops);
+      EXPECT_EQ(run.stats.reads, vf.reads);
+      EXPECT_EQ(run.stats.writes, vf.writes);
+      EXPECT_EQ(run.stats.casses, vf.casses);
+      EXPECT_EQ(run.stats.bytes_to_nodes, vf.to_nodes);
+      EXPECT_EQ(run.stats.bytes_from_nodes, from_nodes);
+      EXPECT_EQ(run.drop_legs, legs);
+      // Only a stale-epoch NACK revokes; a moved replica leaves the QP armed.
+      EXPECT_EQ(run.revoked, c == MatrixCase::kStaleEpoch);
+    }
+  }
+}
+
+// A revoked QP fails fast: kStaleEpoch at the posting instant, no fabric
+// traffic, no drop-hook call, until Rearm().
+TEST(Fabric, RevokedQpFailsFastUntilRearmed) {
+  Simulator sim;
+  int drop_calls = 0;
+  FabricConfig cfg = TestConfig();
+  cfg.drop_fn = [&drop_calls](int, bool, int) {
+    ++drop_calls;
+    return false;
+  };
+  Fabric fabric(&sim, cfg);
+  const uint64_t word = fabric.node(0).Allocate(8);
+  uint64_t client_epoch = 1;
+  Qp qp(&fabric, 0, nullptr);
+  qp.set_epoch(&client_epoch);
+  fabric.SetFenceEpoch(2);
+
+  std::vector<Status> statuses;
+  std::vector<Time> at;
+  auto driver = [](Fabric* f, Qp* q, uint64_t w, uint64_t* epoch, std::vector<Status>* st,
+                   std::vector<Time>* t) -> Task<void> {
+    st->push_back((co_await q->Cas(w, 0, 1)).status);  // Revokes.
+    t->push_back(f->sim()->Now());
+    std::vector<uint8_t> out(8);
+    st->push_back((co_await q->Read(w, out)).status);  // Local, instant.
+    t->push_back(f->sim()->Now());
+    *epoch = 2;
+    q->Rearm();
+    st->push_back((co_await q->Cas(w, 0, 1)).status);
+    t->push_back(f->sim()->Now());
+  };
+  Spawn(driver(&fabric, &qp, word, &client_epoch, &statuses, &at));
+  sim.Run();
+  ASSERT_EQ(statuses.size(), 3u);
+  EXPECT_EQ(statuses[0], Status::kStaleEpoch);
+  EXPECT_EQ(statuses[1], Status::kStaleEpoch);
+  EXPECT_EQ(statuses[2], Status::kOk);
+  EXPECT_EQ(at[0], 1450);
+  EXPECT_EQ(at[1], 1450);
+  EXPECT_EQ(at[2], 1450 + 1450);
+  EXPECT_EQ(drop_calls, 4);  // Two legs per posted verb; the local fail posts nothing.
+  EXPECT_EQ(fabric.stats().ops_issued, 2u);
+  EXPECT_FALSE(qp.revoked());
+  EXPECT_EQ(fabric.node(0).LoadWord(word), 1u);
 }
 
 }  // namespace
