@@ -28,11 +28,10 @@ SWARM_HOT_PATH sim::Task<void> ClientCpu::Submit(sim::Time cost, sim::Time wqe_c
   // rest join it. `batch_ready_ < Now()` guards a guard held open across
   // virtual time (sequential verbs under one guard): a fresh doorbell rings.
   // A verb that would push the doorbell past its WQE budget also rings a
-  // fresh one — the NIC only accepts max_wqe_ entries per doorbell write, so
-  // an oversized batch splits into ceil(K/max) doorbells, each paying
-  // submit_cost (plus the unchanged per-WQE build cost).
-  const bool wqe_split =
-      batch_charged_ && max_wqe_ > 0 && batch_wqes_ + wqes > max_wqe_;
+  // fresh one — the NIC only accepts kMaxWqePerDoorbell entries per doorbell
+  // write, so an oversized batch splits into ceil(K/16) doorbells, each
+  // paying submit_cost (plus the unchanged per-WQE build cost).
+  const bool wqe_split = batch_charged_ && batch_wqes_ + wqes > kMaxWqePerDoorbell;
   if (!batch_charged_ || batch_ready_ < sim_->Now() || wqe_split) {
     batch_charged_ = true;
     batch_wqes_ = 0;
@@ -196,405 +195,221 @@ uint64_t Fabric::TotalAllocated() const {
   return total;
 }
 
-namespace {
-
-// Per-verb completion state, shared between the issuing coroutine and the
-// callback chain that models the verb's journey through the fabric.
+// Per-verb state, shared between the engine's coroutine (Post) and the
+// callback chain that models the verb's journey through the fabric; every
+// callback holds this handle.
 //
-// Pooling audit (completion-after-cancellation): in all four verb paths the
-// last write to an OpState happens strictly BEFORE the matching done.Add(1),
-// and the awaiting coroutine resumes only via a later event-queue entry — so
-// no path writes an OpState after its owner resumed. The hazard the
-// shared_ptr guards is the other direction: the awaiting coroutine can be
-// GONE before the callbacks run (a response-drop makes the client time out
-// while the completion chain is still in flight, and a destroyed Simulator
-// destroys queued callbacks without running them). Every callback therefore
-// holds a reference, and the pooled slot recycles only when the last one
-// releases it — recycling while a dropped ack's completion is in flight is
-// impossible by construction. completion_race_test forces exactly this
-// interleaving via the response-drop chaos hook under ASan (where the pool
-// delegates to the real allocator, so any regression is a reported UAF).
-struct OpState {
-  OpResult result;
+// Pooling audit (completion-after-cancellation): the last write to a
+// VerbState happens strictly BEFORE the matching done.Add(1), and the
+// awaiting coroutine resumes only via a later event-queue entry — so nothing
+// writes a VerbState after its owner resumed. The hazard the shared_ptr
+// guards is the other direction: the awaiting coroutine can be GONE before
+// the callbacks run (a response-drop makes the client time out while the
+// completion chain is still in flight, and a destroyed Simulator destroys
+// queued callbacks without running them). Every callback therefore holds a
+// reference, and the pooled slot recycles only when the last one releases
+// it — recycling while a dropped ack's completion is in flight is impossible
+// by construction. completion_race_test forces exactly this interleaving via
+// the response-drop chaos hook under ASan (where the pool delegates to the
+// real allocator, so any regression is a reported UAF).
+struct Qp::VerbState {
+  VerbState(Fabric* f, const Verb& v) : fabric(f), verb(v), done(f->sim()) {}
+
+  // Applies [off, off+len) of the write leg ahead of the final leg, fenced
+  // like the verb but without stale-landing accounting (the final leg's
+  // VerbStatus counts the verb once).
+  void ApplyWrite(size_t off, size_t len) const;
+
+  Fabric* fabric;
+  Verb verb;
+  int node = 0;
+  bool repair_channel = false;
+  bool drop_response = false;  // The verb applies; only its completion is lost.
+  Status status = Status::kOk;
+  uint64_t old_value = 0;
+  uint64_t epoch = kNoFenceEpoch;
+  sim::Time departure = 0;
+  sim::Counter done;
 };
 
-std::shared_ptr<OpState> MakeOpState() {
-  return std::allocate_shared<OpState>(sim::PoolAlloc<OpState>{});
+SWARM_HOT_PATH void Qp::VerbState::ApplyWrite(size_t off, size_t len) const {
+  MemoryNode& n = fabric->node(node);
+  if (n.Admits(repair_channel, epoch, verb.addr + off, len) == Status::kOk) {
+    n.WriteFrom(verb.addr + off, std::span<const uint8_t>(verb.src + off, len));
+  }
+}
+
+namespace {
+
+// Bytes of a write leg applied at service start: a large write lands in two
+// halves across its transfer window.
+size_t StagedBytes(size_t len, sim::Time xfer) { return len > 8 && xfer > 0 ? len / 2 : 0; }
+
+// One leg's network delay: jitter first, then the chaos hook's extra delay.
+sim::Time OneWay(Fabric& f, int node, bool response) {
+  const sim::Time d = f.SampleDelay();
+  return d + f.LinkExtraDelay(node, response);
 }
 
 }  // namespace
 
-SWARM_HOT_PATH sim::Task<OpResult> Qp::Read(uint64_t addr, std::span<uint8_t> out) {
+sim::Task<OpResult> Qp::Read(uint64_t addr, std::span<uint8_t> out) {
+  return Post<VerbKind::kRead>({.addr = addr, .out = out.data(), .len = out.size()});
+}
+
+sim::Task<OpResult> Qp::Write(uint64_t addr, std::span<const uint8_t> data) {
+  return Post<VerbKind::kWrite>({.addr = addr, .src = data.data(), .len = data.size()});
+}
+
+sim::Task<OpResult> Qp::Cas(uint64_t addr, uint64_t expected, uint64_t desired) {
+  return Post<VerbKind::kCas>({.cas_addr = addr, .expected = expected, .desired = desired});
+}
+
+sim::Task<OpResult> Qp::WriteThenCas(uint64_t waddr, std::span<const uint8_t> data,
+                                     uint64_t caddr, uint64_t expected, uint64_t desired) {
+  return Post<VerbKind::kWriteThenCas>({.addr = waddr, .src = data.data(), .len = data.size(),
+                                       .cas_addr = caddr, .expected = expected,
+                                       .desired = desired});
+}
+
+// Step 1, post: everything up to the request's departure and its arrival
+// instant, then the wait for the completion.
+template <Qp::VerbKind K>
+SWARM_HOT_PATH sim::Task<OpResult> Qp::Post(Verb v) {
+  if (revoked_) {
+    co_return OpResult{Status::kStaleEpoch};  // Dead until the client re-validates.
+  }
   Fabric& f = *fabric_;
   const FabricConfig& cfg = f.config();
-  if (revoked_) {
-    co_return RevokedResult();  // Dead until the client re-validates.
-  }
   const uint64_t verb_epoch = stamp();
+  constexpr bool write = HasWrite(K);
+  constexpr bool cas = HasCas(K);
+  // A pipelined WRITE→CAS series is one submission (§7.2: the fixed cost is
+  // per series of RDMA operations to a memory node) carrying two WQEs.
+  const int wqes = write && cas ? 2 : 1;
   if (cpu_ != nullptr) {
-    co_await cpu_->Submit(cfg.submit_cost, cfg.per_verb_cost);
+    co_await cpu_->Submit(cfg.submit_cost, wqes * cfg.per_verb_cost, wqes);
   }
-  f.stats().ops_issued++;
-  f.stats().reads++;
-  f.stats().bytes_to_nodes += kVerbHeaderBytes;
+  FabricStats& stats = f.stats();
+  stats.ops_issued += static_cast<uint64_t>(wqes);
+  stats.reads += K == VerbKind::kRead ? 1 : 0;
+  stats.writes += write ? 1 : 0;
+  stats.casses += cas ? 1 : 0;
+  stats.bytes_to_nodes += static_cast<uint64_t>(wqes) * kVerbHeaderBytes +
+                          (write ? v.len : 0) + (cas ? 16 : 0);
 
   sim::Simulator* sim = f.sim();
   const sim::Time departure = sim->Now();
-  // A READ has no node-side effect, so a dropped request and a dropped
-  // response are indistinguishable to everyone: the bytes never arrive.
-  if (f.DropMessage(node_, false, chaos_tag_) || f.DropMessage(node_, true, chaos_tag_)) {
+  // The series is one network message each way: a dropped request applies
+  // nothing; a dropped response applies the whole verb and loses the ack —
+  // the possibly-applied case quorum protocols must survive. A READ has no
+  // node-side effect, so for it the two are indistinguishable: the bytes
+  // never arrive.
+  const bool drop_request = f.DropMessage(node_, false, chaos_tag_);
+  const bool drop_response = !drop_request && f.DropMessage(node_, true, chaos_tag_);
+  if (drop_request || (drop_response && K == VerbKind::kRead)) {
     co_await sim->WaitUntil(departure + cfg.failure_detect_delay);
-    OpResult lost;
-    lost.status = Status::kNodeFailed;
-    co_return lost;
+    co_return OpResult{Status::kNodeFailed};
   }
-  sim::Time arrival =
-      departure + f.SampleDelay() + f.LinkExtraDelay(node_, false) + f.node(node_).extra_delay();
+  sim::Time arrival = departure + OneWay(f, node_, false) + f.node(node_).extra_delay();
   arrival = std::max(arrival, last_arrival_ + 1);  // Per-QP FIFO (RDMA ordering).
-  last_arrival_ = arrival;
+  // A write payload's transfer occupies the QP's channel.
+  last_arrival_ = arrival + (write ? f.TransferTime(v.len) : 0);
 
-  auto st = MakeOpState();
-  sim::Counter done(sim);
-  const int node_id = node_;
-  const bool repair_ch = repair_channel_;
-  uint8_t* out_ptr = out.data();
-  const size_t out_len = out.size();
+  // With its 16 B control block the state fills the frame pool's 128 B
+  // class; one more field would double its footprint per verb.
+  static_assert(sizeof(VerbState) <= 112);
+  auto st = std::allocate_shared<VerbState>(sim::PoolAlloc<VerbState>{}, &f, v);
+  st->node = node_;
+  st->repair_channel = repair_channel_;
+  st->drop_response = drop_response;
+  st->epoch = verb_epoch;
+  st->departure = departure;
+  sim->At(arrival, [st] { Arrive<K>(st); });
 
-  // The NIC is reserved AT arrival (arrival-order service): a verb delayed
-  // in the network must not block earlier-arriving traffic.
-  sim->At(arrival, [&f, sim, st, done, node_id, repair_ch, verb_epoch, addr, out_ptr, out_len,
-                    departure]() mutable {
-    const sim::Time exec = f.ReserveNicAtArrival(node_id, f.config().node_op_cost);
-    sim->At(exec, [&f, sim, st, done, node_id, repair_ch, verb_epoch, addr, out_ptr, out_len,
-                   departure, exec]() mutable {
-      MemoryNode& node = f.node(node_id);
-      const FabricConfig& ncfg = f.config();
-      const Status adm = node.VerbStatus(repair_ch, verb_epoch, addr, out_len);
-      if (adm == Status::kNodeFailed) {
-        st->result.status = Status::kNodeFailed;
-        sim->At(std::max(sim->Now(), departure + ncfg.failure_detect_delay),
-                [done]() mutable { done.Add(1); });
-        return;
-      }
-      if (adm != Status::kOk) {
-        // Epoch-fence or retired-region rejection: the node actively NACKs,
-        // so the client learns at normal response speed rather than after
-        // the failure timeout.
-        st->result.status = adm;
-        f.stats().bytes_from_nodes += kAckBytes;
-        const sim::Time complete =
-            exec + ncfg.node_op_cost + f.SampleDelay() + f.LinkExtraDelay(node_id, true);
-        sim->At(complete, [done]() mutable { done.Add(1); });
-        return;
-      }
-      node.ReadInto(addr, std::span<uint8_t>(out_ptr, out_len));
-      f.stats().bytes_from_nodes += kVerbHeaderBytes + out_len;
-      const sim::Time complete = exec + ncfg.node_op_cost + ncfg.read_extra + f.SampleDelay() +
-                                 f.LinkExtraDelay(node_id, true) + f.TransferTime(out_len);
-      sim->At(complete, [done]() mutable { done.Add(1); });
-    });
-  });
-
-  co_await done.WaitFor(1);
-  if (st->result.status == Status::kStaleEpoch) {
+  co_await st->done.WaitFor(1);
+  if (st->status == Status::kStaleEpoch) {
     revoked_ = true;  // §5.4: the QP stays dead until re-validation re-arms it.
   }
-  co_return st->result;
+  co_return OpResult{st->status, st->old_value};
 }
 
-SWARM_HOT_PATH sim::Task<OpResult> Qp::Write(uint64_t addr, std::span<const uint8_t> data) {
-  Fabric& f = *fabric_;
-  const FabricConfig& cfg = f.config();
-  if (revoked_) {
-    co_return RevokedResult();
-  }
-  const uint64_t verb_epoch = stamp();
-  if (cpu_ != nullptr) {
-    co_await cpu_->Submit(cfg.submit_cost, cfg.per_verb_cost);
-  }
-  f.stats().ops_issued++;
-  f.stats().writes++;
-  f.stats().bytes_to_nodes += kVerbHeaderBytes + data.size();
-
+// Step 2, arrive: the NIC is reserved AT arrival (arrival-order service), so
+// a verb delayed in the network never blocks earlier-arriving traffic. A
+// write leg lands over its transfer window: a large one applies its first
+// half at service start (concurrent readers can tear), and a series applies
+// the rest when its last byte lands; the final leg executes after that.
+template <Qp::VerbKind K>
+SWARM_HOT_PATH void Qp::Arrive(const std::shared_ptr<VerbState>& st) {
+  VerbState& s = *st;
+  Fabric& f = *s.fabric;
   sim::Simulator* sim = f.sim();
-  const sim::Time departure = sim->Now();
-  if (f.DropMessage(node_, false, chaos_tag_)) {
-    // Request lost: the write never reaches the node.
-    co_await sim->WaitUntil(departure + cfg.failure_detect_delay);
-    OpResult lost;
-    lost.status = Status::kNodeFailed;
-    co_return lost;
+  const sim::Time op_cost = f.config().node_op_cost;
+  constexpr bool series = K == VerbKind::kWriteThenCas;
+  const sim::Time start = f.ReserveNicAtArrival(s.node, (series ? 2 : 1) * op_cost);
+  const sim::Time xfer = HasWrite(K) ? f.TransferTime(s.verb.len) : 0;
+  // The staged halves carry their split in the callback: the state is full.
+  const size_t half = StagedBytes(s.verb.len, xfer);
+  if (half > 0) {
+    sim->At(start, [st, half] { st->ApplyWrite(0, half); });
   }
-  // Response lost: the write APPLIES at the node, only the ack is missing —
-  // the possibly-applied case quorum protocols must survive.
-  const bool drop_resp = f.DropMessage(node_, true, chaos_tag_);
-  const sim::Time xfer = f.TransferTime(data.size());
-  sim::Time arrival =
-      departure + f.SampleDelay() + f.LinkExtraDelay(node_, false) + f.node(node_).extra_delay();
-  arrival = std::max(arrival, last_arrival_ + 1);  // Per-QP FIFO (RDMA ordering).
-  last_arrival_ = arrival + xfer;  // The transfer occupies the QP's channel.
-
-  auto st = MakeOpState();
-  sim::Counter done(sim);
-  const int node_id = node_;
-  const bool repair_ch = repair_channel_;
-  const uint8_t* src = data.data();
-  const size_t len = data.size();
-
-  // Shared rejection tail: kNodeFailed times out, kStaleEpoch/kMovedReplica
-  // NACK at response speed — unless the response leg drops, which hides the
-  // NACK and looks like a node failure to the client.
-  auto reject = [&f, sim, st, done, node_id, departure](Status adm, bool lost_resp) mutable {
-    const FabricConfig& ncfg = f.config();
-    if ((adm == Status::kStaleEpoch || adm == Status::kMovedReplica) && !lost_resp) {
-      st->result.status = adm;
-      f.stats().bytes_from_nodes += kAckBytes;
-      const sim::Time complete =
-          sim->Now() + ncfg.node_op_cost + f.SampleDelay() + f.LinkExtraDelay(node_id, true);
-      sim->At(complete, [done]() mutable { done.Add(1); });
-      return;
-    }
-    st->result.status = Status::kNodeFailed;
-    sim->At(std::max(sim->Now(), departure + ncfg.failure_detect_delay),
-            [done]() mutable { done.Add(1); });
-  };
-
-  const bool staged = cfg.staged_large_writes && len > 8 && xfer > 0;
-  sim->At(arrival, [&f, sim, st, done, node_id, repair_ch, verb_epoch, addr, src, len, xfer,
-                    staged, drop_resp, reject]() mutable {
-    const sim::Time start = f.ReserveNicAtArrival(node_id, f.config().node_op_cost);
-    const sim::Time finish = start + xfer;  // Last byte lands at `finish`.
-    auto tail = [&f, sim, st, done, node_id, repair_ch, verb_epoch, addr, src, len, staged,
-                 drop_resp, reject]() mutable {
-      MemoryNode& node = f.node(node_id);
-      const Status adm = node.VerbStatus(repair_ch, verb_epoch, addr, len);
-      if (adm != Status::kOk) {
-        reject(adm, drop_resp);
-        return;
-      }
-      const size_t half = staged ? len / 2 : 0;
-      node.WriteFrom(addr + half, std::span<const uint8_t>(src + half, len - half));
-      if (drop_resp) {
-        reject(Status::kNodeFailed, true);
-        return;
-      }
-      f.stats().bytes_from_nodes += kAckBytes;
-      const FabricConfig& ncfg = f.config();
-      const sim::Time complete =
-          sim->Now() + ncfg.node_op_cost + f.SampleDelay() + f.LinkExtraDelay(node_id, true);
-      sim->At(complete, [done]() mutable { done.Add(1); });
-    };
-    if (staged) {
-      const size_t half = len / 2;
-      sim->At(start, [&f, node_id, repair_ch, verb_epoch, addr, src, half] {
-        if (f.node(node_id).Admits(repair_ch, verb_epoch, addr, half) == Status::kOk) {
-          f.node(node_id).WriteFrom(addr, std::span<const uint8_t>(src, half));
-        }
-      });
-    }
-    sim->At(finish, std::move(tail));
-  });
-
-  co_await done.WaitFor(1);
-  if (st->result.status == Status::kStaleEpoch) {
-    revoked_ = true;
-  }
-  co_return st->result;
-}
-
-SWARM_HOT_PATH sim::Task<OpResult> Qp::Cas(uint64_t addr, uint64_t expected, uint64_t desired) {
-  Fabric& f = *fabric_;
-  const FabricConfig& cfg = f.config();
-  if (revoked_) {
-    co_return RevokedResult();
-  }
-  const uint64_t verb_epoch = stamp();
-  if (cpu_ != nullptr) {
-    co_await cpu_->Submit(cfg.submit_cost, cfg.per_verb_cost);
-  }
-  f.stats().ops_issued++;
-  f.stats().casses++;
-  f.stats().bytes_to_nodes += kVerbHeaderBytes + 16;
-
-  sim::Simulator* sim = f.sim();
-  const sim::Time departure = sim->Now();
-  if (f.DropMessage(node_, false, chaos_tag_)) {
-    co_await sim->WaitUntil(departure + cfg.failure_detect_delay);
-    OpResult lost;
-    lost.status = Status::kNodeFailed;
-    co_return lost;
-  }
-  // Response lost: the CAS takes effect but the old value never comes back.
-  const bool drop_resp = f.DropMessage(node_, true, chaos_tag_);
-  sim::Time arrival =
-      departure + f.SampleDelay() + f.LinkExtraDelay(node_, false) + f.node(node_).extra_delay();
-  arrival = std::max(arrival, last_arrival_ + 1);  // Per-QP FIFO (RDMA ordering).
-  last_arrival_ = arrival;
-
-  auto st = MakeOpState();
-  sim::Counter done(sim);
-  const int node_id = node_;
-  const bool repair_ch = repair_channel_;
-
-  sim->At(arrival, [&f, sim, st, done, node_id, repair_ch, verb_epoch, addr, expected, desired,
-                    departure, drop_resp]() mutable {
-    const sim::Time exec = f.ReserveNicAtArrival(node_id, f.config().node_op_cost);
-    sim->At(exec, [&f, sim, st, done, node_id, repair_ch, verb_epoch, addr, expected, desired,
-                   departure, drop_resp]() mutable {
-      MemoryNode& node = f.node(node_id);
-      const FabricConfig& ncfg = f.config();
-      const Status adm = node.VerbStatus(repair_ch, verb_epoch, addr, 8);
-      if (adm == Status::kNodeFailed || (adm != Status::kOk && drop_resp)) {
-        // A NACK whose response leg drops looks like a node failure.
-        st->result.status = Status::kNodeFailed;
-        sim->At(std::max(sim->Now(), departure + ncfg.failure_detect_delay),
-                [done]() mutable { done.Add(1); });
-        return;
-      }
-      if (adm != Status::kOk) {
-        st->result.status = adm;
-        f.stats().bytes_from_nodes += kAckBytes;
-        const sim::Time complete =
-            sim->Now() + ncfg.node_op_cost + f.SampleDelay() + f.LinkExtraDelay(node_id, true);
-        sim->At(complete, [done]() mutable { done.Add(1); });
-        return;
-      }
-      const uint64_t old = node.CasWord(addr, expected, desired);
-      if (drop_resp) {
-        st->result.status = Status::kNodeFailed;
-        sim->At(std::max(sim->Now(), departure + ncfg.failure_detect_delay),
-                [done]() mutable { done.Add(1); });
-        return;
-      }
-      st->result.old_value = old;
-      f.stats().bytes_from_nodes += kAckBytes + 8;
-      const sim::Time complete =
-          sim->Now() + ncfg.node_op_cost + f.SampleDelay() + f.LinkExtraDelay(node_id, true);
-      sim->At(complete, [done]() mutable { done.Add(1); });
-    });
-  });
-
-  co_await done.WaitFor(1);
-  if (st->result.status == Status::kStaleEpoch) {
-    revoked_ = true;
-  }
-  co_return st->result;
-}
-
-SWARM_HOT_PATH sim::Task<OpResult> Qp::WriteThenCas(uint64_t waddr, std::span<const uint8_t> data, uint64_t caddr,
-                                     uint64_t expected, uint64_t desired) {
-  Fabric& f = *fabric_;
-  const FabricConfig& cfg = f.config();
-  if (revoked_) {
-    co_return RevokedResult();
-  }
-  const uint64_t verb_epoch = stamp();
-  if (cpu_ != nullptr) {
-    // One submission covers the whole pipelined series (§7.2: the fixed cost
-    // is per series of RDMA operations to a memory node), but the series
-    // carries two WQEs.
-    co_await cpu_->Submit(cfg.submit_cost, 2 * cfg.per_verb_cost, /*wqes=*/2);
-  }
-  f.stats().ops_issued += 2;
-  f.stats().writes++;
-  f.stats().casses++;
-  f.stats().bytes_to_nodes += 2 * kVerbHeaderBytes + data.size() + 16;
-
-  sim::Simulator* sim = f.sim();
-  const sim::Time departure = sim->Now();
-  if (f.DropMessage(node_, false, chaos_tag_)) {
-    // The pipelined series is one network message: neither verb applies.
-    co_await sim->WaitUntil(departure + cfg.failure_detect_delay);
-    OpResult lost;
-    lost.status = Status::kNodeFailed;
-    co_return lost;
-  }
-  // Response lost: BOTH the write and the CAS apply; the ack is missing.
-  const bool drop_resp = f.DropMessage(node_, true, chaos_tag_);
-  const sim::Time xfer = f.TransferTime(data.size());
-  sim::Time arrival =
-      departure + f.SampleDelay() + f.LinkExtraDelay(node_, false) + f.node(node_).extra_delay();
-  arrival = std::max(arrival, last_arrival_ + 1);  // Per-QP FIFO (RDMA ordering).
-  last_arrival_ = arrival + xfer;  // The transfer occupies the QP's channel.
-
-  auto st = MakeOpState();
-  sim::Counter done(sim);
-  const int node_id = node_;
-  const bool repair_ch = repair_channel_;
-  const uint8_t* src = data.data();
-  const size_t len = data.size();
-  const bool staged = cfg.staged_large_writes && len > 8 && xfer > 0;
-
-  auto cas_body = [&f, sim, st, done, node_id, repair_ch, verb_epoch, caddr, expected, desired,
-                   departure, drop_resp]() mutable {
-    MemoryNode& node = f.node(node_id);
-    const FabricConfig& ncfg = f.config();
-    const Status adm = node.VerbStatus(repair_ch, verb_epoch, caddr, 8);
-    if (adm == Status::kNodeFailed || (adm != Status::kOk && drop_resp)) {
-      // A NACK whose response leg drops looks like a node failure.
-      st->result.status = Status::kNodeFailed;
-      sim->At(std::max(sim->Now(), departure + ncfg.failure_detect_delay),
-              [done]() mutable { done.Add(1); });
-      return;
-    }
-    if (adm != Status::kOk) {
-      st->result.status = adm;
-      f.stats().bytes_from_nodes += kAckBytes;
-      const sim::Time complete =
-          sim->Now() + ncfg.node_op_cost + f.SampleDelay() + f.LinkExtraDelay(node_id, true);
-      sim->At(complete, [done]() mutable { done.Add(1); });
-      return;
-    }
-    const uint64_t old = node.CasWord(caddr, expected, desired);
-    if (drop_resp) {
-      st->result.status = Status::kNodeFailed;
-      sim->At(std::max(sim->Now(), departure + ncfg.failure_detect_delay),
-              [done]() mutable { done.Add(1); });
-      return;
-    }
-    st->result.old_value = old;
-    f.stats().bytes_from_nodes += kAckBytes + 8;
-    const sim::Time complete =
-        sim->Now() + ncfg.node_op_cost + f.SampleDelay() + f.LinkExtraDelay(node_id, true);
-    sim->At(complete, [done]() mutable { done.Add(1); });
-  };
-
-  sim->At(arrival, [&f, sim, node_id, repair_ch, verb_epoch, waddr, src, len, xfer, staged,
-                    cas_body]() mutable {
-    const sim::Time start = f.ReserveNicAtArrival(node_id, 2 * f.config().node_op_cost);
-    const sim::Time write_done = start + xfer;
-    const sim::Time cas_at = write_done + f.config().node_op_cost;
-    if (staged) {
-      const size_t half = len / 2;
-      sim->At(start, [&f, node_id, repair_ch, verb_epoch, waddr, src, half] {
-        if (f.node(node_id).Admits(repair_ch, verb_epoch, waddr, half) == Status::kOk) {
-          f.node(node_id).WriteFrom(waddr, std::span<const uint8_t>(src, half));
-        }
-      });
-      sim->At(write_done, [&f, node_id, repair_ch, verb_epoch, waddr, src, half, len] {
-        if (f.node(node_id).Admits(repair_ch, verb_epoch, waddr + half, len - half) ==
-            Status::kOk) {
-          f.node(node_id).WriteFrom(waddr + half,
-                                    std::span<const uint8_t>(src + half, len - half));
-        }
-      });
-    } else {
-      sim->At(write_done, [&f, node_id, repair_ch, verb_epoch, waddr, src, len] {
-        if (f.node(node_id).Admits(repair_ch, verb_epoch, waddr, len) == Status::kOk) {
-          f.node(node_id).WriteFrom(waddr, std::span<const uint8_t>(src, len));
-        }
-      });
-    }
+  if constexpr (series) {
     // FIFO pipelining: the CAS executes only after the write has fully
     // applied (if the CAS's effect is visible, so is the write).
-    sim->At(cas_at, std::move(cas_body));
-  });
-
-  co_await done.WaitFor(1);
-  if (st->result.status == Status::kStaleEpoch) {
-    revoked_ = true;
+    sim->At(start + xfer, [st, half] { st->ApplyWrite(half, st->verb.len - half); });
   }
-  co_return st->result;
+  sim->At(start + xfer + (series ? op_cost : 0), [st] { Execute<K>(st); });
+}
+
+// Step 3, execute the final leg: admission, then the failure or NACK tail,
+// else the effect and the completion.
+template <Qp::VerbKind K>
+SWARM_HOT_PATH void Qp::Execute(const std::shared_ptr<VerbState>& st) {
+  VerbState& s = *st;
+  Fabric& f = *s.fabric;
+  sim::Simulator* sim = f.sim();
+  const FabricConfig& cfg = f.config();
+  MemoryNode& node = f.node(s.node);
+  const Verb& v = s.verb;
+  constexpr bool cas = HasCas(K);
+  const Status adm = node.VerbStatus(s.repair_channel, s.epoch, cas ? v.cas_addr : v.addr,
+                                     cas ? 8 : v.len);
+  uint64_t response_bytes = kAckBytes;  // A NACK carries a bare ack.
+  sim::Time response_extra = 0;
+  if (adm == Status::kOk) {
+    switch (K) {
+      case VerbKind::kRead:
+        node.ReadInto(v.addr, std::span<uint8_t>(v.out, v.len));
+        response_bytes = kVerbHeaderBytes + v.len;
+        response_extra = cfg.read_extra + f.TransferTime(v.len);
+        break;
+      case VerbKind::kWrite: {
+        const size_t half = StagedBytes(v.len, f.TransferTime(v.len));
+        node.WriteFrom(v.addr + half, std::span<const uint8_t>(v.src + half, v.len - half));
+        break;
+      }
+      case VerbKind::kCas:
+      case VerbKind::kWriteThenCas:
+        s.old_value = node.CasWord(v.cas_addr, v.expected, v.desired);
+        response_bytes = kAckBytes + 8;
+        break;
+    }
+  }
+  if (adm == Status::kNodeFailed || s.drop_response) {
+    // Crashed node, or a response lost on the way back (a NACK included):
+    // the client learns after the failure timeout, and nothing else.
+    s.status = Status::kNodeFailed;
+    s.old_value = 0;
+    sim->At(std::max(sim->Now(), s.departure + cfg.failure_detect_delay),
+            [st] { st->done.Add(1); });
+    return;
+  }
+  // Completion, or an epoch-fence / retired-region NACK at response speed.
+  s.status = adm;
+  f.stats().bytes_from_nodes += response_bytes;
+  const sim::Time complete =
+      sim->Now() + cfg.node_op_cost + response_extra + OneWay(f, s.node, true);
+  sim->At(complete, [st] { st->done.Add(1); });
 }
 
 }  // namespace swarm::fabric

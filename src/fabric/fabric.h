@@ -2,18 +2,34 @@
 // batching, failure injection, and IO accounting.
 //
 // This module is the hardware substitution for the paper's testbed (4 client
-// servers + 4 memory nodes, ConnectX NICs, 100 Gbps switch). Timing model for
-// one verb issued by a client:
+// servers + 4 memory nodes, ConnectX NICs, 100 Gbps switch). The four verbs
+// (READ, WRITE, CAS and the pipelined WRITE→CAS series) are descriptors fed
+// to ONE engine in Qp, which carries every verb through three steps:
 //
-//   submit:   the issuing worker consumes `submit_cost` on its client CPU
-//             (models the 200+ ns cost of posting a series of RDMA work
-//             requests, which causes the throughput wall of §7.2),
-//   request:  one-way delay + jitter + payload/bandwidth,
-//   execute:  the raw memory access at the node. Large writes apply in two
-//             stages spread across the transfer window, so concurrent reads
-//             can observe torn data (the non-atomicity In-n-Out handles),
-//   response: one-way delay + jitter + payload/bandwidth,
-//   complete: the awaiting coroutine resumes with the result.
+//   post:     revoke check and epoch stamp; one client-CPU submission of 1
+//             or 2 WQEs (`submit_cost`, the 200+ ns cost of posting a series
+//             of RDMA work requests behind the throughput wall of §7.2);
+//             stats; the drop coin-flips (request leg, then response leg);
+//             the request's arrival after one-way delay + jitter, held to
+//             per-QP FIFO order. A dropped request — or any drop of a READ,
+//             which has no node-side effect — completes kNodeFailed after
+//             `failure_detect_delay` without reaching the node.
+//   arrive:   the node's NIC is reserved for 1 or 2 x `node_op_cost` at the
+//             arrival instant. A write payload lands over its transfer
+//             window: a large one applies its first half at service start,
+//             so concurrent reads can observe torn data (the non-atomicity
+//             In-n-Out handles), and a series applies the rest of its write
+//             before its CAS.
+//   execute:  the final leg (READ, WRITE, or the CAS) checks the node's
+//             admission for its range; a crashed node fails after the
+//             detection delay, an epoch-fence or moved-replica rejection
+//             NACKs at response speed. Otherwise the effect applies and the
+//             completion returns after one-way delay + jitter (+ the PCIe
+//             read round and the payload for a READ). A dropped response
+//             hides the completion (or NACK): the effect has applied, the
+//             client sees kNodeFailed after the detection delay.
+//
+// A kStaleEpoch completion revokes the QP (see Qp::revoked()).
 //
 // Doorbell batching (§7.2): posting a work request is dominated by the fixed
 // cost of building WQEs and ringing the NIC doorbell, and real NICs let a
@@ -35,6 +51,7 @@
 #ifndef SWARM_SRC_FABRIC_FABRIC_H_
 #define SWARM_SRC_FABRIC_FABRIC_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -71,22 +88,11 @@ struct FabricConfig {
   // pay a small per-WQE increment; a pipelined series like WriteThenCas
   // carries two WQEs). Default 0 preserves the pure-doorbell model.
   sim::Time per_verb_cost = 0;
-  // Per-doorbell WQE budget: real NICs bound how many work-queue entries one
-  // doorbell write can post. A batch whose WQE count would exceed this rings
-  // a fresh doorbell (charging submit_cost again, so a K-WQE burst costs
-  // ceil(K/max) * submit_cost + K * per_verb_cost). 0 = unlimited (the
-  // pre-limit model). The default is wide enough that quorum fan-outs up to
-  // 7 replicas (14 WQEs with pipelined pairs) still ride one doorbell.
-  int max_wqe_per_doorbell = 16;
   double bandwidth_bytes_per_ns = 12.5;  // 100 Gbps each direction
 
   // Virtual time after which an op against a crashed node completes locally
   // with kNodeFailed (models RC QP retry exhaustion / uKharon notification).
   sim::Time failure_detect_delay = 4000;
-
-  // If true, writes larger than 8 B apply in two stages across the transfer
-  // window so concurrent readers can tear.
-  bool staged_large_writes = true;
 
   // If false, CpuBatch is inert and every verb pays its own submit_cost
   // (the sequential-submission model of the seed; kept for A/B benches).
@@ -115,6 +121,14 @@ struct FabricConfig {
   DropFn drop_fn;
 };
 
+// Per-doorbell WQE budget: real NICs bound how many work-queue entries one
+// doorbell write can post. A batch whose WQE count would exceed this rings a
+// fresh doorbell (charging submit_cost again, so a K-WQE burst costs
+// ceil(K/16) * submit_cost + K * per_verb_cost). Wide enough that quorum
+// fan-outs up to 7 replicas (14 WQEs with pipelined pairs) still ride one
+// doorbell.
+inline constexpr int kMaxWqePerDoorbell = 16;
+
 struct FabricStats {
   uint64_t ops_issued = 0;
   uint64_t bytes_to_nodes = 0;    // request headers + write payloads
@@ -130,7 +144,7 @@ struct FabricStats {
   uint64_t doorbells = 0;
   uint64_t batches = 0;
   uint64_t batched_verbs = 0;
-  // Extra doorbells rung because a batch exceeded max_wqe_per_doorbell.
+  // Extra doorbells rung because a batch exceeded kMaxWqePerDoorbell.
   uint64_t doorbell_splits = 0;
 
   void Reset() { *this = FabricStats{}; }
@@ -161,21 +175,18 @@ class ClientCpu {
   // K-verb doorbell consumes cost + K*per_verb_cost of CPU, with verbs
   // departing as their WQEs finish building. `wqes` is the WQE count this
   // call posts (2 for a pipelined WriteThenCas series); when a batch's
-  // accumulated WQEs would exceed the configured per-doorbell budget, the
-  // batch splits — this verb rings a fresh doorbell and pays submit_cost.
+  // accumulated WQEs would exceed kMaxWqePerDoorbell, the batch splits —
+  // this verb rings a fresh doorbell and pays submit_cost.
   sim::Task<void> Submit(sim::Time cost, sim::Time wqe_cost = 0, int wqes = 1);
 
   void BeginBatch() { batch_depth_ += enabled_ ? 1 : 0; }
   void EndBatch();
-  bool batching() const { return batch_depth_ > 0; }
 
-  // Wires doorbell accounting, the config switch, and the per-doorbell WQE
-  // budget (0 = unlimited); done by Worker (and tests) once the owning
-  // fabric is known. Idempotent.
-  void Configure(FabricStats* stats, bool batching_enabled, int max_wqe_per_doorbell = 0) {
+  // Wires doorbell accounting and the config switch; done by Worker once the
+  // owning fabric is known. Idempotent.
+  void Configure(FabricStats* stats, bool batching_enabled) {
     stats_ = stats;
     enabled_ = batching_enabled;
-    max_wqe_ = max_wqe_per_doorbell;
   }
 
   sim::Time busy_ns() const { return busy_ns_; }
@@ -188,7 +199,6 @@ class ClientCpu {
   sim::Time busy_ns_ = 0;
   bool enabled_ = true;
   int batch_depth_ = 0;
-  int max_wqe_ = 0;  // Per-doorbell WQE budget; 0 = unlimited.
   bool batch_charged_ = false;
   sim::Time batch_ready_ = 0;
   uint64_t batch_verbs_ = 0;
@@ -251,7 +261,6 @@ class Qp {
   // Tags this QP for per-QP fault targeting (FabricConfig::DropFn). Chaos
   // scenarios tag every worker of client i with tag i; -1 = untargetable.
   void set_chaos_tag(int tag) { chaos_tag_ = tag; }
-  int chaos_tag() const { return chaos_tag_; }
 
   // One-sided READ of [addr, addr+out.size()). The bytes are sampled at the
   // op's execution instant at the node and delivered at completion.
@@ -272,7 +281,35 @@ class Qp {
   int node() const { return node_; }
 
  private:
-  friend class Fabric;
+  // The verb engine: each public verb only describes itself and posts. See
+  // the file comment for the three steps; VerbState carries a posted verb
+  // through them. The verb's kind is a template parameter of the one engine
+  // body, so each verb's branches fold at compile time.
+  enum class VerbKind : uint8_t { kRead, kWrite, kCas, kWriteThenCas };
+  struct Verb {
+    uint64_t addr = 0;             // READ/WRITE target; the write leg of a series.
+    uint8_t* out = nullptr;        // READ destination.
+    const uint8_t* src = nullptr;  // WRITE source.
+    size_t len = 0;                // READ/WRITE length.
+    uint64_t cas_addr = 0;         // The CAS leg.
+    uint64_t expected = 0;
+    uint64_t desired = 0;
+  };
+  struct VerbState;
+  static constexpr bool HasWrite(VerbKind k) {
+    return k == VerbKind::kWrite || k == VerbKind::kWriteThenCas;
+  }
+  static constexpr bool HasCas(VerbKind k) {
+    return k == VerbKind::kCas || k == VerbKind::kWriteThenCas;
+  }
+
+  template <VerbKind K>
+  sim::Task<OpResult> Post(Verb v);
+  template <VerbKind K>
+  static void Arrive(const std::shared_ptr<VerbState>& st);
+  template <VerbKind K>
+  static void Execute(const std::shared_ptr<VerbState>& st);
+
   Fabric* fabric_;
   int node_;
   ClientCpu* cpu_;
@@ -283,11 +320,6 @@ class Qp {
   sim::Time last_arrival_ = 0;  // FIFO ordering of executions at the node.
 
   uint64_t stamp() const { return epoch_ != nullptr ? *epoch_ : kNoFenceEpoch; }
-  OpResult RevokedResult() const {
-    OpResult r;
-    r.status = Status::kStaleEpoch;
-    return r;
-  }
 };
 
 class Fabric {
@@ -302,8 +334,9 @@ class Fabric {
 
   // Hot-adds a brand-new (empty, serving-capable) memory node and returns
   // its id. The node inherits the current fence epoch so verbs stamped
-  // before its admission epoch bump cannot land on it unnoticed. Fails an
-  // assert beyond config.max_nodes — admission plans are sized up front.
+  // before its admission epoch bump cannot land on it unnoticed. Returns -1
+  // once config.max_nodes nodes exist; MembershipService::AdmitNode passes
+  // that on as a refused admission.
   int AddNode();
 
   FabricStats& stats() { return stats_; }
@@ -439,7 +472,7 @@ struct [[nodiscard]] QuorumOutcome {
 // elapsed, if >= 0). The remaining verbs keep running detached against a
 // shared result block that they themselves keep alive — the caller's early
 // resume can never turn a straggler's completion into a use-after-free (see
-// the OpState pooling audit in fabric.cc). This is the fabric-level API the
+// the VerbState pooling audit in fabric.cc). This is the fabric-level API the
 // quorum protocols' resume-at-quorum behavior is built on.
 sim::Task<QuorumOutcome> PostQuorum(ClientCpu* cpu, sim::Simulator* sim,
                                     sim::PoolVec<sim::Task<OpResult>> verbs, int quorum,

@@ -3,7 +3,7 @@
 // PR 1 pooled the simulator's callback slots; this module generalizes that
 // discipline to every remaining per-op allocation: coroutine frames (via
 // Task's promise operator new), the Counter/Waiter synchronization state and
-// per-verb OpState (via std::allocate_shared), and value byte buffers (via
+// per-verb VerbState (via std::allocate_shared), and value byte buffers (via
 // the Bytes/PoolVec vector aliases). With all of them on the pool, a
 // quorum-of-3 write performs ZERO heap allocations at steady state — the
 // zero_alloc_test guard enforces this for all three KV stores.
@@ -191,7 +191,7 @@ class Bytes : public PoolVec<uint8_t> {
 
 // allocate_shared over the pool: one pooled block holds control block +
 // object, refcount semantics unchanged. The drop-in replacement for
-// std::make_shared on hot-path shared state (phase structs, verb OpState).
+// std::make_shared on hot-path shared state (phase structs, the fabric's VerbState).
 template <typename T, typename... Args>
 std::shared_ptr<T> MakePooled(Args&&... args) {
   return std::allocate_shared<T>(PoolAlloc<T>{}, std::forward<Args>(args)...);

@@ -45,8 +45,7 @@ class Worker {
       : fabric_(fabric), tid_(tid), cpu_(cpu), clock_(clock), config_(config),
         known_failed_(std::move(known_failed)) {
     if (cpu != nullptr) {
-      cpu->Configure(&fabric->stats(), fabric->config().doorbell_batching,
-                     fabric->config().max_wqe_per_doorbell);
+      cpu->Configure(&fabric->stats(), fabric->config().doorbell_batching);
     }
     for (int n = 0; n < fabric->num_nodes(); ++n) {
       EnsureNode(n);

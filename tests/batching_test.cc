@@ -159,6 +159,49 @@ TEST(DoorbellBatching, PerVerbCostChargesPerWqe) {
   env.sim.Run();
 }
 
+// A doorbell posts at most kMaxWqePerDoorbell WQEs: one batch of 17 verbs
+// rings a second doorbell (paying submit_cost again), and so does a batch of
+// 9 pipelined WRITE->CAS series, whose 18 WQEs overflow the first doorbell
+// at the 9th series.
+TEST(DoorbellBatching, OversizedBatchSplitsDoorbell) {
+  static_assert(fabric::kMaxWqePerDoorbell == 16);
+  TestEnv env;
+  Worker& w = env.MakeWorker();
+  const uint64_t buf = env.fabric.node(0).Allocate(8);
+  const uint64_t word = env.fabric.node(0).Allocate(8);
+
+  auto driver = [](TestEnv* env, Worker* w, uint64_t buf2, uint64_t word2) -> Task<void> {
+    const fabric::FabricStats& stats = env->fabric.stats();
+    const sim::Time submit = env->fabric.config().submit_cost;
+    std::vector<uint8_t> data(8, 0x5A);
+    for (bool series : {false, true}) {
+      const int verbs = series ? 9 : 17;
+      sim::PoolVec<sim::Task<fabric::OpResult>> batch;
+      for (int i = 0; i < verbs; ++i) {
+        batch.push_back(series ? w->qp(0).WriteThenCas(buf2, data, word2, 0, 0)
+                               : w->qp(0).Cas(word2, 0, 0));
+      }
+      const uint64_t doorbells0 = stats.doorbells;
+      const uint64_t splits0 = stats.doorbell_splits;
+      const uint64_t batches0 = stats.batches;
+      const sim::Time busy0 = w->cpu()->busy_ns();
+      sim::PoolVec<fabric::OpResult> results =
+          co_await fabric::PostMany(w->cpu(), &env->sim, std::move(batch));
+      EXPECT_EQ(results.size(), static_cast<size_t>(verbs)) << "series " << series;
+      for (const fabric::OpResult& r : results) {
+        EXPECT_TRUE(r.ok()) << "series " << series;
+      }
+      EXPECT_EQ(stats.doorbells - doorbells0, 2u) << "series " << series;
+      EXPECT_EQ(stats.doorbell_splits - splits0, 1u) << "series " << series;
+      EXPECT_EQ(stats.batches - batches0, 1u) << "series " << series;
+      EXPECT_EQ(w->cpu()->busy_ns() - busy0, 2 * submit) << "series " << series;
+    }
+  };
+  Spawn(driver(&env, &w, buf, word));
+  env.sim.Run();
+  EXPECT_EQ(env.fabric.stats().doorbell_splits, 2u);
+}
+
 // --- Batched vs. unbatched determinism. ------------------------------------
 
 struct KvTrace {

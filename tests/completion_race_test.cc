@@ -1,6 +1,6 @@
 // Completion-after-cancellation regression coverage for pooled verb state.
 //
-// Pooling OpState / Counter / ManyResults (allocate_shared over the frame
+// Pooling VerbState / Counter / ManyResults (allocate_shared over the frame
 // pool) makes recycled slots LIVE memory, so a latent use-after-free in the
 // completion chain would no longer crash — it would silently corrupt a
 // recycled slot. These tests force the exact interleavings the fabric.cc
@@ -10,7 +10,7 @@
 // pool delegates to the real allocator (SWARM_POOL_BYPASS), so any write to
 // freed verb state is a reported use-after-free rather than silent reuse.
 //
-// The invariant under test (see the OpState audit in fabric.cc): every
+// The invariant under test (see the VerbState audit in fabric.cc): every
 // queued completion callback holds its own reference to the shared state it
 // writes, so the state's slot cannot recycle before the last straggler ran —
 // no matter how early the awaiting coroutine resumed or how its frame died.
@@ -145,7 +145,7 @@ TEST(CompletionRace, CounterLateAddAfterTimedOutWait) {
 
 // Write-verb straggler: a response-dropped WriteThenCas APPLIES at the node
 // but completes only at failure-detection time. The issuing coroutine is
-// long gone (it resumed off the healthy majority); the straggler's OpState
+// long gone (it resumed off the healthy majority); the straggler's VerbState
 // write and the subsequent read-back must both be safe.
 TEST(CompletionRace, DroppedWriteAckAppliesAndCompletesLate) {
   TestEnv env(37);

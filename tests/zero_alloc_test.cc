@@ -1,7 +1,7 @@
 // Zero-allocation guard for the steady-state hot path.
 //
 // The allocation purge (ROADMAP item 3) moved every per-op allocation —
-// coroutine frames, Counter/Waiter/OpState shared blocks, phase structs,
+// coroutine frames, Counter/Waiter/VerbState shared blocks, phase structs,
 // value byte buffers — onto the FramePool's free-list slabs. This guard
 // pins that property: after a warmup phase populates caches, pools, and
 // container capacities, a steady-state read/write workload against each KV
